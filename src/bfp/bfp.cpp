@@ -1,8 +1,11 @@
 #include "bfp/bfp.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/math_util.h"
 #include "obs/fidelity.h"
 
 namespace mirage {
@@ -44,45 +47,52 @@ BfpBlock::decode(size_t i, int bm) const
 
 namespace {
 
-/** Exponent e such that |v| < 2^e (frexp semantics); 0 for v == 0. */
-int
-valueExponent(float v)
+/** std::floor for |x| < 2^31, without the libm call. */
+inline int32_t
+floorInt(double x)
 {
-    if (v == 0.0f || !std::isfinite(v))
-        return 0;
-    int e = 0;
-    std::frexp(v, &e);
-    return e;
+    const int32_t t = static_cast<int32_t>(x); // toward zero
+    return t - (t > x ? 1 : 0);
 }
 
-int32_t
-roundMantissa(double scaled, Rounding mode, Rng *rng)
+/** std::ceil for |x| < 2^31. */
+inline int32_t
+ceilInt(double x)
 {
-    switch (mode) {
-      case Rounding::Truncate:
-        // Hardware truncation drops LSBs of the two's-complement mantissa,
-        // which rounds toward -inf (floor) — not toward zero. Toward-zero
-        // truncation would systematically shrink gradient magnitudes and
-        // stall training.
-        return static_cast<int32_t>(std::floor(scaled));
-      case Rounding::Nearest:
-        return static_cast<int32_t>((scaled >= 0.0) ? std::floor(scaled + 0.5)
-                                                    : std::ceil(scaled - 0.5));
-      case Rounding::Stochastic: {
-        MIRAGE_ASSERT(rng != nullptr, "stochastic rounding needs an Rng");
-        const double floor_v = std::floor(scaled);
-        const double frac = scaled - floor_v;
-        return static_cast<int32_t>(floor_v + (rng->uniformReal() < frac ? 1 : 0));
-      }
-    }
-    MIRAGE_PANIC("unknown rounding mode");
+    const int32_t t = static_cast<int32_t>(x);
+    return t + (t < x ? 1 : 0);
 }
 
 } // namespace
 
+void
+GroupTally::add(int shared_exponent, int clipped)
+{
+    const int slot = shared_exponent - kMinExponent;
+    ++counts_[slot];
+    lo_ = std::min(lo_, slot);
+    hi_ = std::max(hi_, slot);
+    clipped_ += static_cast<uint64_t>(clipped);
+}
+
+void
+GroupTally::flush()
+{
+    for (int slot = lo_; slot <= hi_; ++slot) {
+        if (counts_[slot] == 0)
+            continue;
+        obs::fidelity::noteBfpGroups(slot + kMinExponent, counts_[slot],
+                                     clipped_);
+        counts_[slot] = 0;
+        clipped_ = 0;
+    }
+    lo_ = kSlots;
+    hi_ = -1;
+}
+
 int
 encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
-                std::span<int32_t> mantissas, Rng *rng)
+                std::span<int32_t> mantissas, Rng *rng, GroupTally *tally)
 {
     cfg.validate();
     MIRAGE_ASSERT(values.size() <= static_cast<size_t>(cfg.g),
@@ -90,40 +100,80 @@ encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
     MIRAGE_ASSERT(mantissas.size() >= values.size(),
                   "mantissa buffer too small");
 
-    int shared = INT32_MIN;
-    for (float v : values) {
-        if (!std::isfinite(v))
-            MIRAGE_FATAL("non-finite value in BFP group");
-        if (v != 0.0f)
-            shared = std::max(shared, valueExponent(v));
-    }
-    if (shared == INT32_MIN) { // all-zero group
+    const auto note = [tally](int shared, int clipped) {
+        if (tally)
+            tally->add(shared, clipped);
+        else
+            obs::fidelity::noteBfpGroup(shared, clipped);
+    };
+    // |v| orders like its IEEE bit pattern with the sign cleared, and the
+    // frexp exponent is monotone in |v|: the group's maximum element
+    // exponent is that of its largest magnitude. Any non-finite value has
+    // the largest bit patterns of all.
+    uint32_t max_bits = 0;
+    for (float v : values)
+        max_bits = std::max(max_bits, std::bit_cast<uint32_t>(v) & 0x7fffffffu);
+    if (max_bits >= 0x7f800000u)
+        MIRAGE_FATAL("non-finite value in BFP group");
+    if (max_bits == 0) { // all-zero group: no rounding, no rng draws
         for (size_t i = 0; i < values.size(); ++i)
             mantissas[i] = 0;
-        obs::fidelity::noteBfpGroup(0, 0);
+        note(0, 0);
         return 0;
     }
+    // frexp exponent of the largest magnitude, read off its bits: |v| <
+    // 2^shared for every v in the group. Subnormals carry no implicit bit.
+    const int biased = static_cast<int>(max_bits >> 23);
+    const int shared = biased != 0
+                           ? biased - 126
+                           : static_cast<int>(std::bit_width(max_bits)) - 149;
 
-    // value = q * 2^(e - bm)  =>  q = value * 2^(bm - e). The mantissa is a
-    // (bm+1)-bit two's-complement integer: [-2^bm, 2^bm - 1].
+    // value = q * 2^(e - bm)  =>  q = value * 2^(bm - e). bm - e lies in
+    // [-127, 163], so the power-of-two factor is a normal double and the
+    // product is exact — the same value std::ldexp would return. The
+    // mantissa is a (bm+1)-bit two's-complement integer: [-2^bm, 2^bm - 1].
+    // Every rounding argument below is < 2^16 in magnitude, so floorInt
+    // and ceilInt are exactly std::floor/std::ceil.
+    const double scale = pow2d(cfg.bm - shared);
     const int32_t q_max = (1 << cfg.bm) - 1;
     const int32_t q_min = -(1 << cfg.bm);
     int clipped = 0;
-    for (size_t i = 0; i < values.size(); ++i) {
-        const double scaled = std::ldexp(static_cast<double>(values[i]),
-                                         cfg.bm - shared);
-        int32_t q = roundMantissa(scaled, cfg.rounding, rng);
-        if (q > q_max) {
-            q = q_max;
-            ++clipped;
+    const auto quantize = [&](auto round) {
+        for (size_t i = 0; i < values.size(); ++i) {
+            int32_t q = round(static_cast<double>(values[i]) * scale);
+            if (q > q_max) {
+                q = q_max;
+                ++clipped;
+            }
+            if (q < q_min) {
+                q = q_min;
+                ++clipped;
+            }
+            mantissas[i] = q;
         }
-        if (q < q_min) {
-            q = q_min;
-            ++clipped;
-        }
-        mantissas[i] = q;
+    };
+    switch (cfg.rounding) {
+      case Rounding::Truncate:
+        // Hardware truncation drops LSBs of the two's-complement mantissa,
+        // which rounds toward -inf (floor) — not toward zero. Toward-zero
+        // truncation would systematically shrink gradient magnitudes and
+        // stall training.
+        quantize([](double x) { return floorInt(x); });
+        break;
+      case Rounding::Nearest: // half away from zero
+        quantize([](double x) {
+            return x >= 0.0 ? floorInt(x + 0.5) : ceilInt(x - 0.5);
+        });
+        break;
+      case Rounding::Stochastic:
+        MIRAGE_ASSERT(rng != nullptr, "stochastic rounding needs an Rng");
+        quantize([rng](double x) {
+            const int32_t floor_x = floorInt(x);
+            return floor_x + (rng->uniformReal() < x - floor_x ? 1 : 0);
+        });
+        break;
     }
-    obs::fidelity::noteBfpGroup(shared, clipped);
+    note(shared, clipped);
     return shared;
 }
 

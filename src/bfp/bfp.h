@@ -71,12 +71,42 @@ BfpBlock encodeBlock(std::span<const float> values, const BfpConfig &cfg,
                      Rng *rng = nullptr);
 
 /**
+ * Batches the always-on per-group fidelity notes of many encodes into a
+ * per-exponent count, flushed as one obs::fidelity::noteBfpGroups call per
+ * distinct shared exponent. Totals match one note per group. Flushes on
+ * destruction; not thread-safe (one per encoding thread).
+ */
+class GroupTally
+{
+  public:
+    GroupTally() = default;
+    GroupTally(const GroupTally &) = delete;
+    GroupTally &operator=(const GroupTally &) = delete;
+    ~GroupTally() { flush(); }
+
+    void add(int shared_exponent, int clipped);
+    void flush();
+
+  private:
+    /// Shared exponents of finite floats: frexp of 2^-149 .. FLT_MAX.
+    static constexpr int kMinExponent = -148;
+    static constexpr int kSlots = 128 - kMinExponent + 1;
+
+    uint32_t counts_[kSlots] = {};
+    int lo_ = kSlots;
+    int hi_ = -1;
+    uint64_t clipped_ = 0;
+};
+
+/**
  * Allocation-free core of encodeBlock: writes values.size() mantissas into
  * `mantissas` (first values.size() elements; the caller owns any padding)
- * and returns the shared exponent. Bit-identical to encodeBlock.
+ * and returns the shared exponent. Bit-identical to encodeBlock. The
+ * group's fidelity note goes to `tally` when given, else straight out.
  */
 int encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
-                    std::span<int32_t> mantissas, Rng *rng = nullptr);
+                    std::span<int32_t> mantissas, Rng *rng = nullptr,
+                    GroupTally *tally = nullptr);
 
 /** Decodes a whole block back to floats (the "fake quantization" view). */
 std::vector<float> decodeBlock(const BfpBlock &block, const BfpConfig &cfg);

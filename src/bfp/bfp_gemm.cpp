@@ -1,13 +1,14 @@
 #include "bfp/bfp_gemm.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/simd.h"
 #include "obs/fidelity.h"
 #include "rns/conversion.h"
-#include "rns/modular_gemm.h"
 #include "runtime/thread_pool.h"
 
 namespace mirage {
@@ -29,96 +30,113 @@ constexpr int64_t kComputeGrain = 4;
 constexpr int64_t kMinEncodeWork = 16384;
 constexpr int64_t kMinComputeWork = 65536;
 
-/// Output-column tile of the compute loop: keeps the streamed B residue
-/// panel L1/L2-resident for large n. Tiling never reorders the per-element
+/// Output rows per register-tiled panel (simd::gemmPanel4I32I64).
+constexpr int kRowBlock = 4;
+/// Output-column tile: one chunk's g x kColTile B panel and the 4 x kColTile
+/// accumulators stay L1-resident. Tiling never reorders any element's
 /// chunk accumulation, so results are unaffected.
 constexpr int kColTile = 64;
 
-} // namespace
-
-BfpMatrix
-encodeRows(const std::vector<float> &a, int m_rows, int k_depth,
-           const BfpConfig &cfg, Rng *rng)
+/**
+ * Stochastic rounding draws from a per-row (per-column) substream split
+ * off one base value drawn from the caller's rng, so encoding is
+ * bit-identical at every thread count; other modes never consume rng.
+ */
+struct RoundingStreams
 {
-    MIRAGE_ASSERT(a.size() == static_cast<size_t>(m_rows) * k_depth,
-                  "matrix shape mismatch");
-    BfpMatrix out;
-    out.rows = m_rows;
-    out.g = cfg.g;
-    out.chunk_count = static_cast<int>(ceilDiv(k_depth, cfg.g));
-    out.blocks.resize(static_cast<size_t>(m_rows) * out.chunk_count);
-    // Stochastic rounding draws from a per-row substream (split of one base
-    // value drawn from the caller's rng), so encoding stays bit-identical
-    // for every thread count and deterministic rounding never consumes rng.
-    const bool stochastic =
-        rng != nullptr && cfg.rounding == Rounding::Stochastic;
-    const uint64_t base = stochastic ? rng->nextU64() : 0;
-    runtime::parallelFor(
-        m_rows,
-        runtime::serialBelow(m_rows, kEncodeGrain,
-                             static_cast<int64_t>(m_rows) * k_depth,
-                             kMinEncodeWork),
-        [&](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-            std::optional<Rng> row_rng;
-            if (stochastic)
-                row_rng.emplace(Rng::stream(base, static_cast<uint64_t>(i)));
-            Rng *row_rng_p = row_rng ? &*row_rng : nullptr;
-            for (int c = 0; c < out.chunk_count; ++c) {
-                const int start = c * cfg.g;
-                const int len = std::min(cfg.g, k_depth - start);
-                std::span<const float> group(
-                    &a[static_cast<size_t>(i) * k_depth + start],
-                    static_cast<size_t>(len));
-                out.blocks[static_cast<size_t>(i) * out.chunk_count + c] =
-                    encodeBlock(group, cfg, row_rng_p);
-            }
-        }
-    });
-    return out;
-}
+    bool stochastic;
+    uint64_t base;
 
-BfpMatrix
-encodeCols(const std::vector<float> &b, int k_depth, int n_cols,
-           const BfpConfig &cfg, Rng *rng)
+    RoundingStreams(const BfpConfig &cfg, Rng *rng)
+        : stochastic(rng != nullptr && cfg.rounding == Rounding::Stochastic),
+          base(stochastic ? rng->nextU64() : 0)
+    {
+    }
+
+    std::optional<Rng>
+    stream(int64_t line) const
+    {
+        if (!stochastic)
+            return std::nullopt;
+        return Rng::stream(base, static_cast<uint64_t>(line));
+    }
+};
+
+/**
+ * Encodes the columns of B (KxN, row-major) into K-chunk groups: column j
+ * draws from its own rounding substream, chunks in ascending order, and
+ * `store(j, chunk, mantissas, exponent)` places each encoded group.
+ */
+template <typename Store>
+void
+encodeColumns(std::span<const float> b, int k_depth, int n_cols,
+              const BfpConfig &cfg, Rng *rng, Store &&store)
 {
     MIRAGE_ASSERT(b.size() == static_cast<size_t>(k_depth) * n_cols,
                   "matrix shape mismatch");
-    BfpMatrix out;
-    out.rows = n_cols;
-    out.g = cfg.g;
-    out.chunk_count = static_cast<int>(ceilDiv(k_depth, cfg.g));
-    out.blocks.resize(static_cast<size_t>(n_cols) * out.chunk_count);
-    const bool stochastic =
-        rng != nullptr && cfg.rounding == Rounding::Stochastic;
-    const uint64_t base = stochastic ? rng->nextU64() : 0;
+    const int chunks = static_cast<int>(ceilDiv(k_depth, cfg.g));
+    const RoundingStreams streams(cfg, rng);
     runtime::parallelFor(
         n_cols,
         runtime::serialBelow(n_cols, kEncodeGrain,
                              static_cast<int64_t>(k_depth) * n_cols,
                              kMinEncodeWork),
         [&](int64_t j0, int64_t j1) {
-        std::vector<float> group_buf(static_cast<size_t>(cfg.g));
-        for (int64_t j = j0; j < j1; ++j) {
-            std::optional<Rng> col_rng;
-            if (stochastic)
-                col_rng.emplace(Rng::stream(base, static_cast<uint64_t>(j)));
-            Rng *col_rng_p = col_rng ? &*col_rng : nullptr;
-            for (int c = 0; c < out.chunk_count; ++c) {
-                const int start = c * cfg.g;
-                const int len = std::min(cfg.g, k_depth - start);
-                for (int t = 0; t < len; ++t)
-                    group_buf[static_cast<size_t>(t)] =
-                        b[static_cast<size_t>(start + t) * n_cols + j];
-                std::span<const float> group(group_buf.data(),
-                                             static_cast<size_t>(len));
-                out.blocks[static_cast<size_t>(j) * out.chunk_count + c] =
-                    encodeBlock(group, cfg, col_rng_p);
+            Workspace &tws = threadWorkspace();
+            Workspace::Scope tscope(tws);
+            std::span<float> group = tws.alloc<float>(cfg.g);
+            std::span<int32_t> q = tws.alloc<int32_t>(cfg.g);
+            GroupTally tally;
+            for (int64_t j = j0; j < j1; ++j) {
+                std::optional<Rng> col_rng = streams.stream(j);
+                for (int c = 0; c < chunks; ++c) {
+                    const int start = c * cfg.g;
+                    const size_t len =
+                        static_cast<size_t>(std::min(cfg.g, k_depth - start));
+                    for (size_t t = 0; t < len; ++t)
+                        group[t] = b[(start + t) * n_cols + j];
+                    const int exponent = encodeGroupInto(
+                        group.first(len), cfg, q, col_rng ? &*col_rng : nullptr,
+                        &tally);
+                    store(static_cast<int>(j), c, q.first(len), exponent);
+                }
             }
-        }
-    });
-    return out;
+        });
 }
+
+/**
+ * acc[j] += float(ldexp(double(isum[j]), ea + eb[j])): one chunk's dots
+ * scaled back to real units and added to a row of the FP32 tile. When
+ * isum is exact in float and 2^e is a normal float, the float product is
+ * the same exact value rounded once — identical to the ldexp form, and a
+ * vectorizable multiply. Rows with any dot outside that range take the
+ * ldexp form for every element.
+ */
+inline void
+scaleAccumulate(const int64_t *isum, int ea, const int32_t *eb, float *acc,
+                int n)
+{
+    // Range scan with shifts and ORs only, so it vectorizes on baseline
+    // SSE2: isum + 2^24 in [0, 2^25) and e + 126, e + 128 in [0, 256).
+    uint64_t isum_out = 0;
+    uint32_t e_out = 0;
+    for (int j = 0; j < n; ++j) {
+        isum_out |= static_cast<uint64_t>(isum[j] + (int64_t{1} << 24)) >> 25;
+        const uint32_t e = static_cast<uint32_t>(ea + eb[j]);
+        e_out |= ((e + 126) | (e + 128)) >> 8;
+    }
+    if ((isum_out | e_out) == 0) {
+        for (int j = 0; j < n; ++j)
+            acc[j] += static_cast<float>(static_cast<int32_t>(isum[j])) *
+                      pow2f(ea + eb[j]);
+    } else {
+        for (int j = 0; j < n; ++j)
+            acc[j] += static_cast<float>(
+                std::ldexp(static_cast<double>(isum[j]), ea + eb[j]));
+    }
+}
+
+} // namespace
 
 BfpPackedMatrix
 encodeRowsPacked(std::span<const float> a, int m_rows, int k_depth,
@@ -133,21 +151,16 @@ encodeRowsPacked(std::span<const float> a, int m_rows, int k_depth,
     const size_t blocks = static_cast<size_t>(m_rows) * out.chunk_count;
     out.mantissas = ws.zeroed<int32_t>(blocks * cfg.g);
     out.exponents = ws.alloc<int32_t>(blocks);
-    const bool stochastic =
-        rng != nullptr && cfg.rounding == Rounding::Stochastic;
-    const uint64_t base = stochastic ? rng->nextU64() : 0;
+    const RoundingStreams streams(cfg, rng);
     runtime::parallelFor(
         m_rows,
         runtime::serialBelow(m_rows, kEncodeGrain,
                              static_cast<int64_t>(m_rows) * k_depth,
                              kMinEncodeWork),
         [&](int64_t r0, int64_t r1) {
+            GroupTally tally;
             for (int64_t i = r0; i < r1; ++i) {
-                std::optional<Rng> row_rng;
-                if (stochastic)
-                    row_rng.emplace(
-                        Rng::stream(base, static_cast<uint64_t>(i)));
-                Rng *row_rng_p = row_rng ? &*row_rng : nullptr;
+                std::optional<Rng> row_rng = streams.stream(i);
                 for (int c = 0; c < out.chunk_count; ++c) {
                     const int start = c * cfg.g;
                     const int len = std::min(cfg.g, k_depth - start);
@@ -159,7 +172,7 @@ encodeRowsPacked(std::span<const float> a, int m_rows, int k_depth,
                         cfg,
                         out.mantissas.subspan(blk * cfg.g,
                                               static_cast<size_t>(len)),
-                        row_rng_p);
+                        row_rng ? &*row_rng : nullptr, &tally);
                 }
             }
         });
@@ -170,8 +183,6 @@ BfpPackedMatrix
 encodeColsPacked(std::span<const float> b, int k_depth, int n_cols,
                  const BfpConfig &cfg, Workspace &ws, Rng *rng)
 {
-    MIRAGE_ASSERT(b.size() == static_cast<size_t>(k_depth) * n_cols,
-                  "matrix shape mismatch");
     BfpPackedMatrix out;
     out.rows = n_cols;
     out.g = cfg.g;
@@ -179,100 +190,16 @@ encodeColsPacked(std::span<const float> b, int k_depth, int n_cols,
     const size_t blocks = static_cast<size_t>(n_cols) * out.chunk_count;
     out.mantissas = ws.zeroed<int32_t>(blocks * cfg.g);
     out.exponents = ws.alloc<int32_t>(blocks);
-    const bool stochastic =
-        rng != nullptr && cfg.rounding == Rounding::Stochastic;
-    const uint64_t base = stochastic ? rng->nextU64() : 0;
-    runtime::parallelFor(
-        n_cols,
-        runtime::serialBelow(n_cols, kEncodeGrain,
-                             static_cast<int64_t>(k_depth) * n_cols,
-                             kMinEncodeWork),
-        [&](int64_t j0, int64_t j1) {
-            Workspace &tws = threadWorkspace();
-            Workspace::Scope tscope(tws);
-            std::span<float> group_buf =
-                tws.alloc<float>(static_cast<size_t>(cfg.g));
-            for (int64_t j = j0; j < j1; ++j) {
-                std::optional<Rng> col_rng;
-                if (stochastic)
-                    col_rng.emplace(
-                        Rng::stream(base, static_cast<uint64_t>(j)));
-                Rng *col_rng_p = col_rng ? &*col_rng : nullptr;
-                for (int c = 0; c < out.chunk_count; ++c) {
-                    const int start = c * cfg.g;
-                    const int len = std::min(cfg.g, k_depth - start);
-                    for (int t = 0; t < len; ++t)
-                        group_buf[static_cast<size_t>(t)] =
-                            b[static_cast<size_t>(start + t) * n_cols + j];
-                    const size_t blk =
-                        static_cast<size_t>(j) * out.chunk_count + c;
-                    out.exponents[blk] = encodeGroupInto(
-                        std::span<const float>(group_buf.data(),
-                                               static_cast<size_t>(len)),
-                        cfg,
-                        out.mantissas.subspan(blk * cfg.g,
-                                              static_cast<size_t>(len)),
-                        col_rng_p);
-                }
-            }
-        });
+    encodeColumns(b, k_depth, n_cols, cfg, rng,
+                  [&](int j, int c, std::span<const int32_t> q, int exponent) {
+                      const size_t blk =
+                          static_cast<size_t>(j) * out.chunk_count + c;
+                      std::copy(q.begin(), q.end(),
+                                out.mantissas.begin() + blk * cfg.g);
+                      out.exponents[blk] = exponent;
+                  });
     return out;
 }
-
-namespace {
-
-/**
- * True when every chunk dot over this set can accumulate raw 64-bit
- * products without overflow (the modularDot small-path bound).
- */
-bool
-rawAccumulationSafe(const rns::ModuliSet &set, int g)
-{
-    if (g >= (1 << 22))
-        return false;
-    for (size_t i = 0; i < set.count(); ++i)
-        if (set.modulus(i) >= (uint64_t{1} << 21))
-            return false;
-    return true;
-}
-
-/**
- * Forward-converts a packed mantissa plane to per-modulus residue planes
- * (uint32, layout identical to the mantissa plane). Doing this once per
- * matrix instead of once per (i, j, chunk) triple is the key win: the old
- * path re-reduced every A-row chunk n_cols times.
- */
-std::span<uint32_t>
-residuePlanes(const BfpPackedMatrix &m, const rns::ModuliSet &set,
-              Workspace &ws)
-{
-    const size_t plane =
-        static_cast<size_t>(m.rows) * m.chunk_count * m.g;
-    std::span<uint32_t> planes = ws.alloc<uint32_t>(set.count() * plane);
-    runtime::parallelFor(
-        m.rows,
-        runtime::serialBelow(m.rows, kEncodeGrain,
-                             static_cast<int64_t>(set.count()) * plane,
-                             kMinEncodeWork),
-        [&](int64_t r0, int64_t r1) {
-            const size_t row_elems =
-                static_cast<size_t>(m.chunk_count) * m.g;
-            for (size_t mi = 0; mi < set.count(); ++mi) {
-                const uint64_t mod = set.modulus(mi);
-                uint32_t *dst = &planes[mi * plane];
-                for (int64_t r = r0; r < r1; ++r)
-                    for (size_t e = 0; e < row_elems; ++e) {
-                        const size_t idx =
-                            static_cast<size_t>(r) * row_elems + e;
-                        dst[idx] = static_cast<uint32_t>(
-                            rns::reduceSigned(m.mantissas[idx], mod));
-                    }
-            }
-        });
-    return planes;
-}
-
-} // namespace
 
 void
 bfpGemm(std::span<const float> a, std::span<const float> b,
@@ -282,123 +209,115 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
     cfg.validate();
     MIRAGE_ASSERT(c.size() == static_cast<size_t>(m_rows) * n_cols,
                   "C shape mismatch");
-    if (codec && !codec->set().canHoldDotProduct(cfg.bm, cfg.g)) {
-        MIRAGE_FATAL("moduli set (log2 M = ",
-                     codec->set().log2DynamicRange(),
-                     ") cannot hold BFP dot products of bm=", cfg.bm,
-                     " g=", cfg.g, " (Eq. 13)");
+    if (codec) {
+        const rns::ModuliSet &set = codec->set();
+        if (!set.canHoldDotProduct(cfg.bm, cfg.g)) {
+            MIRAGE_FATAL("moduli set (log2 M = ", set.log2DynamicRange(),
+                         ") cannot hold BFP dot products of bm=", cfg.bm,
+                         " g=", cfg.g, " (Eq. 13)");
+        }
+        // Eq. (13) holds, so every chunk dot lies in [-psi, psi] and its
+        // RNS round trip (forward conversion, modular dot per modulus, CRT
+        // decode) returns the exact integer dot: computing that dot
+        // directly is the same result. One overflow-margin observation per
+        // (GEMM, modulus) still accounts for the g-term modular dots.
+        for (size_t mi = 0; mi < set.count(); ++mi)
+            obs::fidelity::recordRnsMargin(set.modulus(mi), cfg.g);
     }
 
-    // Encodings and residue planes live in the caller's arena for the
-    // duration of this GEMM; the rng base draws happen in the same order
-    // (rows, then cols) as the legacy BfpMatrix path, so stochastic
-    // rounding is bit-identical to it.
+    // Encodings live in the caller's arena for the duration of this GEMM;
+    // the rng base draws happen rows first, then columns.
     Workspace &ws = threadWorkspace();
     Workspace::Scope scope(ws);
     const BfpPackedMatrix a_enc =
         encodeRowsPacked(a, m_rows, k_depth, cfg, ws, rng);
-    const BfpPackedMatrix b_enc =
-        encodeColsPacked(b, k_depth, n_cols, cfg, ws, rng);
-
     const int chunks = a_enc.chunk_count;
     const int g = cfg.g;
-    const int bm = cfg.bm;
+    const int64_t lda = static_cast<int64_t>(chunks) * g;
+    // B's columns encoded K-major: a (chunks * g) x n mantissa matrix — B's
+    // own layout, zero-padded to whole chunks — so chunk ch is the
+    // contiguous g x n panel at row ch * g. Exponents are chunks x n.
+    std::span<int32_t> b_mant =
+        ws.alloc<int32_t>(static_cast<size_t>(lda) * n_cols);
+    std::span<int32_t> b_exp =
+        ws.alloc<int32_t>(static_cast<size_t>(chunks) * n_cols);
+    std::fill(b_mant.begin() + static_cast<size_t>(k_depth) * n_cols,
+              b_mant.end(), 0);
+    encodeColumns(b, k_depth, n_cols, cfg, rng,
+                  [&](int j, int ch, std::span<const int32_t> q, int e) {
+                      int32_t *dst = &b_mant[static_cast<size_t>(ch) * g *
+                                                 n_cols + j];
+                      for (size_t t = 0; t < q.size(); ++t)
+                          dst[t * n_cols] = q[t];
+                      b_exp[static_cast<size_t>(ch) * n_cols + j] = e;
+                  });
 
-    // With a codec, forward-convert both packed planes once up front; every
-    // chunk dot then runs over small cache-resident uint32 residues.
-    const bool raw_safe = codec && rawAccumulationSafe(codec->set(), g);
-    std::span<uint32_t> a_planes, b_planes;
-    if (raw_safe) {
-        // Every chunk dot raw-accumulates g products per modulus; one
-        // overflow-margin observation per (GEMM, modulus) covers them all.
-        for (size_t mi = 0; mi < codec->set().count(); ++mi)
-            obs::fidelity::recordRnsMargin(codec->set().modulus(mi), g);
-        a_planes = residuePlanes(a_enc, codec->set(), ws);
-        b_planes = residuePlanes(b_enc, codec->set(), ws);
-    } else if (codec) {
-        obs::fidelity::noteRnsReducedFallback();
-    }
-    const size_t a_plane_sz = static_cast<size_t>(m_rows) * chunks * g;
-    const size_t b_plane_sz = static_cast<size_t>(n_cols) * chunks * g;
-
-    // Output rows are independent and rng-free; the per-element chunk
-    // accumulation order below is unchanged, so the parallel result is
-    // bit-identical to serial execution (and to the legacy block path).
+    // Per output tile, each chunk is one exact int32 -> int64 panel GEMM
+    // (A's 4 x g chunk slice times B's g x 64 panel); its dots are scaled
+    // and added into the FP32 tile in ascending chunk order — exactly the
+    // per-element FP32 accumulation sequence of Mirage's dataflow step 9.
+    // Output rows are independent and rng-free, so any row blocking or
+    // thread count gives bit-identical results.
     runtime::parallelFor(
         m_rows,
         runtime::serialBelow(m_rows, kComputeGrain,
                              static_cast<int64_t>(m_rows) * k_depth * n_cols,
                              kMinComputeWork),
         [&](int64_t i0, int64_t i1) {
-        Workspace &tws = threadWorkspace();
-        Workspace::Scope tscope(tws);
-        const size_t n_moduli = codec ? codec->set().count() : 0;
-        std::span<rns::Residue> digits = tws.alloc<rns::Residue>(n_moduli);
-        for (int jt0 = 0; jt0 < n_cols; jt0 += kColTile) {
-            const int jt1 = std::min(jt0 + kColTile, n_cols);
-            for (int64_t i = i0; i < i1; ++i) {
-                for (int j = jt0; j < jt1; ++j) {
-                    float acc = 0.0f; // FP32 partial-output accumulation
+            Workspace &tws = threadWorkspace();
+            Workspace::Scope tscope(tws);
+            const size_t tile = static_cast<size_t>(kRowBlock) * kColTile;
+            int64_t *isum = tws.alloc<int64_t>(tile).data();
+            float *acc = tws.alloc<float>(tile).data();
+            for (int64_t ib = i0; ib < i1; ib += kRowBlock) {
+                const int rows =
+                    static_cast<int>(std::min<int64_t>(kRowBlock, i1 - ib));
+                for (int j0 = 0; j0 < n_cols; j0 += kColTile) {
+                    const int jt = std::min(kColTile, n_cols - j0);
+                    std::fill(acc, acc + static_cast<size_t>(rows) * jt,
+                              0.0f);
                     for (int ch = 0; ch < chunks; ++ch) {
-                        const size_t a_off =
-                            (static_cast<size_t>(i) * chunks + ch) *
-                            static_cast<size_t>(g);
-                        const size_t b_off =
-                            (static_cast<size_t>(j) * chunks + ch) *
-                            static_cast<size_t>(g);
-                        int64_t isum;
-                        if (raw_safe) {
-                            for (size_t mi = 0; mi < n_moduli; ++mi) {
-                                const uint32_t *ra =
-                                    &a_planes[mi * a_plane_sz + a_off];
-                                const uint32_t *rb =
-                                    &b_planes[mi * b_plane_sz + b_off];
-                                // Exact u32xu32->u64 dot (residues < 2^21,
-                                // g < 2^22 — rawAccumulationSafe); the simd
-                                // kernel sums the same uint64 terms.
-                                digits[mi] = simd::dotU32U64(ra, rb, g) %
-                                             codec->set().modulus(mi);
-                            }
-                            isum = codec->decode(digits);
-                        } else if (codec) {
-                            // Oversized moduli: fully reduced dot per
-                            // modulus straight off the mantissas.
-                            const rns::ModuliSet &set = codec->set();
-                            for (size_t mi = 0; mi < n_moduli; ++mi) {
-                                const uint64_t mod = set.modulus(mi);
-                                rns::Residue sum = 0;
-                                for (int t = 0; t < g; ++t)
-                                    sum = rns::addMod(
-                                        sum,
-                                        rns::mulMod(
-                                            rns::reduceSigned(
-                                                a_enc.mantissas[a_off + t],
-                                                mod),
-                                            rns::reduceSigned(
-                                                b_enc.mantissas[b_off + t],
-                                                mod),
-                                            mod),
-                                        mod);
-                                digits[mi] = sum;
-                            }
-                            isum = codec->decode(digits);
+                        std::memset(isum, 0,
+                                    static_cast<size_t>(rows) * jt *
+                                        sizeof(int64_t));
+                        const int32_t *a_chunk =
+                            a_enc.chunk(static_cast<int>(ib), ch);
+                        const int32_t *b_panel =
+                            &b_mant[static_cast<size_t>(ch) * g * n_cols + j0];
+                        if (rows == kRowBlock) {
+                            simd::gemmPanel4I32I64(a_chunk, lda, b_panel,
+                                                   n_cols, g, isum, jt);
                         } else {
-                            // Exact i32xi32->i64 dot; mantissas are <= bm
-                            // bits so the accumulation cannot overflow.
-                            isum = simd::dotI32I64(&a_enc.mantissas[a_off],
-                                                   &b_enc.mantissas[b_off],
-                                                   g);
+                            // m % 4 row tail: per-row axpys, same exact sums.
+                            for (int t = 0; t < g; ++t)
+                                for (int r = 0; r < rows; ++r) {
+                                    const int32_t a_rt = a_chunk[r * lda + t];
+                                    if (a_rt != 0)
+                                        simd::axpyI32I64(
+                                            a_rt,
+                                            b_panel +
+                                                static_cast<size_t>(t) * n_cols,
+                                            isum + static_cast<size_t>(r) * jt,
+                                            jt);
+                                }
                         }
-                        acc += static_cast<float>(std::ldexp(
-                            static_cast<double>(isum),
-                            a_enc.exponent(static_cast<int>(i), ch) +
-                                b_enc.exponent(j, ch) - 2 * bm));
+                        const int32_t *eb =
+                            &b_exp[static_cast<size_t>(ch) * n_cols + j0];
+                        for (int r = 0; r < rows; ++r)
+                            scaleAccumulate(
+                                isum + static_cast<size_t>(r) * jt,
+                                a_enc.exponent(static_cast<int>(ib) + r, ch) -
+                                    2 * cfg.bm,
+                                eb, acc + static_cast<size_t>(r) * jt, jt);
                     }
-                    c[static_cast<size_t>(i) * n_cols + j] = acc;
+                    for (int r = 0; r < rows; ++r)
+                        std::copy(acc + static_cast<size_t>(r) * jt,
+                                  acc + static_cast<size_t>(r + 1) * jt,
+                                  &c[static_cast<size_t>(ib + r) * n_cols +
+                                     j0]);
                 }
             }
-        }
-    });
+        });
 }
 
 void

@@ -8,9 +8,14 @@
  * weight-row chunk each form one group — integer chunk dot products are
  * exact, and cross-chunk accumulation happens in FP32 (dataflow step 9).
  *
- * Optionally, every integer chunk dot product is routed through an RNS
- * engine over a moduli set; with Eq. (13) satisfied this is numerically
- * transparent, which is exactly Mirage's claim.
+ * Given a moduli set, bfpGemm models Mirage's RNS datapath. When the set
+ * satisfies Eq. (13) every chunk dot lies in the set's signed range, so
+ * the RNS round trip (forward conversion, one modular dot per modulus, CRT
+ * decode) returns exactly the integer dot — Mirage's transparency claim.
+ * bfpGemm therefore computes the exact integer dot directly, as per-chunk
+ * int32 panel GEMMs, and rejects sets that fail Eq. (13). Residue
+ * arithmetic itself is exercised by rns::modularGemm, by PhotonicBackend
+ * over photonic::RnsMmvmu, and by the RNS reference in tests/test_bfp.cpp.
  */
 
 #include <cstdint>
@@ -30,8 +35,9 @@ namespace bfp {
 struct BfpGemmOptions
 {
     BfpConfig config;
-    /// When set, each chunk dot product is computed in the RNS domain over
-    /// this moduli set (forward conversion, modular MACs, CRT reverse).
+    /// When set, the GEMM models the RNS datapath over this moduli set: it
+    /// must satisfy Eq. (13) (else fatal), under which the RNS chunk dots
+    /// equal the exact integer dots computed here.
     std::optional<rns::ModuliSet> moduli;
     /// RNG used only for stochastic rounding.
     Rng *rng = nullptr;
@@ -42,10 +48,10 @@ struct BfpGemmOptions
  * A's rows and B's columns are BFP-grouped along K in chunks of cfg.g.
  *
  * The span overload writes into caller-provided storage (size m*n) and
- * stages every temporary — packed encodings, per-modulus residue planes,
- * CRT digits — in Workspace arenas, so warm steady-state calls perform no
- * heap allocation. The vector overload is a thin allocating wrapper;
- * results are bit-identical between the two.
+ * stages every temporary — A's packed rows, B's K-major chunk panels, the
+ * integer and FP32 output tiles — in Workspace arenas, so warm
+ * steady-state calls perform no heap allocation. The vector overload is a
+ * thin allocating wrapper; results are bit-identical between the two.
  */
 void bfpGemm(std::span<const float> a, std::span<const float> b,
              std::span<float> c, int m_rows, int k_depth, int n_cols,
@@ -57,10 +63,10 @@ std::vector<float> bfpGemm(const std::vector<float> &a,
                            const BfpGemmOptions &opts);
 
 /**
- * Core kernel behind both overloads: a non-null `codec` routes every chunk
- * dot product through the RNS domain. Callers that execute many GEMMs over
- * one moduli set pass a cached codec (rns::cachedCodec) so per-call setup
- * allocates nothing.
+ * Core kernel behind both overloads: a non-null `codec` selects the RNS
+ * datapath (Eq. (13) check and overflow-margin telemetry). Callers that
+ * execute many GEMMs over one moduli set pass a cached codec
+ * (rns::cachedCodec) so per-call setup allocates nothing.
  */
 void bfpGemm(std::span<const float> a, std::span<const float> b,
              std::span<float> c, int m_rows, int k_depth, int n_cols,
@@ -68,32 +74,11 @@ void bfpGemm(std::span<const float> a, std::span<const float> b,
              Rng *rng = nullptr);
 
 /**
- * Pre-encoded BFP view of a matrix: rows (or columns) cut into K-chunks.
- * Exposed so the photonic functional model can consume the same encoding.
- */
-struct BfpMatrix
-{
-    int rows = 0;
-    int chunk_count = 0;
-    int g = 0;
-    /// blocks[row * chunk_count + chunk]
-    std::vector<BfpBlock> blocks;
-};
-
-/** Encodes matrix rows (MxK, row-major) into K-chunk groups. */
-BfpMatrix encodeRows(const std::vector<float> &a, int m_rows, int k_depth,
-                     const BfpConfig &cfg, Rng *rng = nullptr);
-
-/** Encodes matrix columns (KxN, row-major) into K-chunk groups. */
-BfpMatrix encodeCols(const std::vector<float> &b, int k_depth, int n_cols,
-                     const BfpConfig &cfg, Rng *rng = nullptr);
-
-/**
- * Flat, workspace-backed BFP encoding: mantissas stored [row][chunk][g]
- * with zero-padded tails (padding contributes nothing to integer dots) and
- * one exponent per (row, chunk). This is the hot-path representation — one
- * arena allocation instead of one heap vector per block — and it encodes
- * bit-identically to the BfpBlock form (same per-row Rng substreams).
+ * Flat, workspace-backed BFP encoding of matrix rows (or columns) cut into
+ * K-chunks: mantissas stored [row][chunk][g] with zero-padded tails
+ * (padding contributes nothing to integer dots) and one exponent per
+ * (row, chunk). Each group encodes bit-identically to encodeBlock; with
+ * stochastic rounding, row (column) r draws from Rng::stream(base, r).
  */
 struct BfpPackedMatrix
 {

@@ -6,6 +6,7 @@
  * Small integer math helpers used across the tiling, RNS, and BFP code.
  */
 
+#include <bit>
 #include <cstdint>
 
 #include "common/logging.h"
@@ -66,6 +67,21 @@ gcd64(uint64_t a, uint64_t b)
         b = t;
     }
     return a;
+}
+
+/** Exact double 2^e, built from its bit pattern; e must be in [-1022, 1023]
+ *  (normal range), where multiplying by it is exactly std::ldexp(x, e). */
+inline double
+pow2d(int e)
+{
+    return std::bit_cast<double>(static_cast<uint64_t>(e + 1023) << 52);
+}
+
+/** Exact float 2^e; e must be in [-126, 127] (normal range). */
+inline float
+pow2f(int e)
+{
+    return std::bit_cast<float>(static_cast<uint32_t>(e + 127) << 23);
 }
 
 } // namespace mirage

@@ -350,17 +350,27 @@ noteRnsReducedFallback()
 void
 noteBfpGroup(int shared_exponent, int clipped_mantissas)
 {
+    noteBfpGroups(shared_exponent, 1,
+                  static_cast<uint64_t>(std::max(clipped_mantissas, 0)));
+}
+
+void
+noteBfpGroups(int shared_exponent, uint64_t groups_n,
+              uint64_t clipped_mantissas)
+{
     static Counter &groups = fidCounter("fidelity.bfp.groups");
     static Counter &clipped = fidCounter("fidelity.bfp.clipped_mantissas");
     static Histogram &exponents = fidHistogram("fidelity.bfp.exponent_bias128");
 
-    groups.add(1);
+    if (groups_n == 0)
+        return;
+    groups.add(groups_n);
     // Bias by +128 so the full float exponent range stays a valid
     // (non-negative) histogram value; clamp pathological inputs.
     const int biased = std::clamp(shared_exponent + 128, 0, 4096);
-    exponents.record(static_cast<uint64_t>(biased));
+    exponents.record(static_cast<uint64_t>(biased), groups_n);
     if (clipped_mantissas > 0)
-        clipped.add(static_cast<uint64_t>(clipped_mantissas));
+        clipped.add(clipped_mantissas);
 }
 
 void

@@ -161,6 +161,13 @@ void noteRnsReducedFallback();
  *  clamped mantissas in `fidelity.bfp.clipped_mantissas`. */
 void noteBfpGroup(int shared_exponent, int clipped_mantissas);
 
+/** Batched noteBfpGroup: `groups` groups that all share `shared_exponent`
+ *  and together clamped `clipped_mantissas` mantissas. Totals are the same
+ *  as `groups` single notes; matrix encoders tally groups per exponent
+ *  (bfp::GroupTally) to keep per-group atomics off the hot path. */
+void noteBfpGroups(int shared_exponent, uint64_t groups,
+                   uint64_t clipped_mantissas);
+
 /** Always-on per-unit photonic SNR note: records `fidelity.photonic.snr_db`
  *  and maintains the running-minimum gauge `fidelity.photonic.snr_db_min`
  *  (both in integer dB, clamped at 0). */

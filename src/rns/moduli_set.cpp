@@ -69,9 +69,12 @@ ModuliSet::maxConverterBits() const
 bool
 ModuliSet::canHoldDotProduct(int bm, int g) const
 {
-    MIRAGE_ASSERT(bm >= 1 && g >= 1, "invalid BFP parameters");
-    const double required = 2.0 * (bm + 1) + std::log2(static_cast<double>(g)) - 1.0;
-    return log2DynamicRange() >= required;
+    MIRAGE_ASSERT(bm >= 1 && bm <= 31 && g >= 1, "invalid BFP parameters");
+    // Mantissas are (bm+1)-bit two's complement, [-2^bm, 2^bm - 1], so the
+    // largest |chunk dot| is g * 2^(2 bm) (every product (-2^bm)^2). Exact
+    // integer form of Eq. (13); the log2 form admits M == g * 2^(2 bm + 1),
+    // where psi is one short of that bound.
+    return psi_ >= (static_cast<uint128>(g) << (2 * bm));
 }
 
 bool

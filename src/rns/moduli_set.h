@@ -62,8 +62,9 @@ class ModuliSet
     int maxConverterBits() const;
 
     /**
-     * Eq. (13): checks log2(M) >= 2*(bm + 1) + log2(g) - 1, i.e. the set can
-     * hold a dot product of g products of (bm+1)-bit signed operands.
+     * Eq. (13): log2(M) >= 2*(bm + 1) + log2(g) - 1, i.e. the set can hold
+     * a dot product of g products of (bm+1)-bit signed operands. Evaluated
+     * exactly as psi >= g * 2^(2 bm), the largest such dot's magnitude.
      */
     bool canHoldDotProduct(int bm, int g) const;
 

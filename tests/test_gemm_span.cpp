@@ -116,25 +116,38 @@ TEST_F(GemmSpanTest, PackedEncodeMatchesBlockEncode)
     const std::vector<float> a = randomMatrix(m, k);
     const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
 
-    const bfp::BfpMatrix blocks = bfp::encodeRows(a, m, k, cfg);
     Workspace ws;
     Workspace::Scope scope(ws);
-    const bfp::BfpPackedMatrix packed =
-        bfp::encodeRowsPacked(a, m, k, cfg, ws);
+    const bfp::BfpPackedMatrix rows = bfp::encodeRowsPacked(a, m, k, cfg, ws);
+    // The same buffer read as a k x m matrix, encoded by columns.
+    const bfp::BfpPackedMatrix cols = bfp::encodeColsPacked(a, k, m, cfg, ws);
 
-    ASSERT_EQ(blocks.chunk_count, packed.chunk_count);
+    const int chunks = (k + cfg.g - 1) / cfg.g;
+    ASSERT_EQ(rows.chunk_count, chunks);
+    ASSERT_EQ(cols.chunk_count, chunks);
+    std::vector<float> group;
     for (int r = 0; r < m; ++r) {
-        for (int c = 0; c < blocks.chunk_count; ++c) {
-            const bfp::BfpBlock &blk =
-                blocks.blocks[static_cast<size_t>(r) * blocks.chunk_count + c];
-            EXPECT_EQ(blk.exponent, packed.exponent(r, c));
-            const int32_t *pm = packed.chunk(r, c);
+        for (int c = 0; c < chunks; ++c) {
+            const int len = std::min(cfg.g, k - c * cfg.g);
+            const auto first = a.begin() + r * k + c * cfg.g;
+            const bfp::BfpBlock blk = bfp::encodeBlock(
+                std::span<const float>(&*first, static_cast<size_t>(len)),
+                cfg);
+            // Column r of the k x m view, gathered the same way.
+            group.clear();
+            for (int t = 0; t < len; ++t)
+                group.push_back(a[static_cast<size_t>(c * cfg.g + t) * m + r]);
+            const bfp::BfpBlock col_blk = bfp::encodeBlock(group, cfg);
+
+            EXPECT_EQ(blk.exponent, rows.exponent(r, c));
+            EXPECT_EQ(col_blk.exponent, cols.exponent(r, c));
             for (int t = 0; t < cfg.g; ++t) {
-                const int32_t expect =
-                    t < static_cast<int>(blk.mantissas.size())
-                        ? blk.mantissas[static_cast<size_t>(t)]
-                        : 0; // packed tail is zero-padded
-                EXPECT_EQ(pm[t], expect) << r << "," << c << "," << t;
+                // Packed tails are zero-padded.
+                const bool in = t < len;
+                EXPECT_EQ(rows.chunk(r, c)[t], in ? blk.mantissas[t] : 0)
+                    << r << "," << c << "," << t;
+                EXPECT_EQ(cols.chunk(r, c)[t], in ? col_blk.mantissas[t] : 0)
+                    << r << "," << c << "," << t;
             }
         }
     }

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bfp/bfp_gemm.h"
 #include "models/zoo.h"
 #include "nn/gemm_backend.h"
 #include "obs/fidelity.h"
@@ -369,6 +370,57 @@ TEST(FidelityHealth, BfpAndPhotonicCountersAccumulate)
     EXPECT_EQ(counterValue("fidelity.photonic.mvm_probes"), 2u);
     EXPECT_EQ(counterValue("fidelity.photonic.residue_checks"), 10u);
     EXPECT_EQ(counterValue("fidelity.photonic.residue_errors"), 2u);
+}
+
+TEST(FidelityHealth, PackedEncodeNotesMatchPerGroupNotes)
+{
+    // The matrix encoders tally their group notes (bfp::GroupTally) and
+    // flush them in batches; totals must equal one note per group.
+    const int m = 9, k = 70;
+    const bfp::BfpConfig cfg{3, 16, bfp::Rounding::Nearest};
+    Rng rng(17);
+    std::vector<float> a = test::gaussianVector(rng, m * k, 0, 8);
+    std::fill(a.begin(), a.begin() + k, 0.0f); // all-zero groups too
+    struct Totals
+    {
+        uint64_t groups, clipped, count, sum;
+        bool operator==(const Totals &) const = default;
+    };
+    const auto totals = [] {
+        const obs::HistogramSnapshot h =
+            obs::MetricsRegistry::global()
+                .findHistogram("fidelity.bfp.exponent_bias128")
+                ->snapshot();
+        return Totals{counterValue("fidelity.bfp.groups"),
+                      counterValue("fidelity.bfp.clipped_mantissas"),
+                      h.count, static_cast<uint64_t>(h.sum)};
+    };
+
+    Totals per_group{};
+    {
+        FidelityGuard guard;
+        for (int r = 0; r < m; ++r)
+            for (int c = 0; c < k; c += cfg.g)
+                bfp::encodeBlock(
+                    std::span<const float>(&a[r * k + c],
+                                           std::min(cfg.g, k - c)),
+                    cfg);
+        per_group = totals();
+    }
+    FidelityGuard guard;
+    Workspace ws;
+    Workspace::Scope scope(ws);
+    bfp::encodeRowsPacked(a, m, k, cfg, ws);
+    EXPECT_EQ(totals(), per_group);
+    EXPECT_EQ(per_group.groups, 45u);
+    EXPECT_GT(per_group.clipped, 0u);
+
+    // noteBfpGroups(e, n, c) is n single notes of e carrying c clips.
+    fid::noteBfpGroups(5, 3, 4);
+    EXPECT_EQ(counterValue("fidelity.bfp.groups"), 48u);
+    EXPECT_EQ(counterValue("fidelity.bfp.clipped_mantissas"),
+              per_group.clipped + 4);
+    EXPECT_EQ(totals().sum, per_group.sum + 3 * 133u);
 }
 
 // ---------------------------------------------------------------------------

@@ -85,6 +85,18 @@ TEST(ModuliSet, Eq13CapacityMatchesPaper)
     EXPECT_TRUE(ModuliSet::special(6).canHoldDotProduct(5, 64));
 }
 
+TEST(ModuliSet, Eq13IsExactAtTheBoundary)
+{
+    // (bm+1)-bit mantissas reach -2^bm, so a chunk dot reaches +g * 2^(2bm)
+    // and needs psi >= g * 2^(2bm). For bm=4, g=16 that is 4096: M = 8192
+    // (log2 M = 13, exactly the log2 form of Eq. 13) leaves psi = 4095.
+    EXPECT_FALSE(ModuliSet({8192}).canHoldDotProduct(4, 16));
+    EXPECT_TRUE(ModuliSet({8193}).canHoldDotProduct(4, 16));
+    // special(3) = {7, 8, 9}: M = 504 = 63 * 2^3, psi = 251 < 63 * 2^2.
+    EXPECT_FALSE(ModuliSet::special(3).canHoldDotProduct(1, 63));
+    EXPECT_TRUE(ModuliSet::special(3).canHoldDotProduct(1, 62));
+}
+
 TEST(ModuliSet, SignedRange)
 {
     const ModuliSet set = ModuliSet::special(5);
