@@ -10,6 +10,7 @@
 
 #include "bfp/bfp_gemm.h"
 #include "common/rng.h"
+#include "common/workspace.h"
 #include "nn/gemm_backend.h"
 #include "nn/layers_conv.h"
 #include "nn/tensor.h"
@@ -73,43 +74,63 @@ BM_ModularGemm(benchmark::State &state)
 }
 BENCHMARK(BM_ModularGemm)->Arg(32)->Arg(64)->Arg(256);
 
-void
-BM_BfpEncode(benchmark::State &state)
-{
-    Rng rng(4);
-    std::vector<float> values(4096);
-    for (auto &v : values)
-        v = static_cast<float>(rng.gaussian());
-    const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Truncate};
-    for (auto _ : state) {
-        for (size_t i = 0; i < values.size(); i += 16) {
-            benchmark::DoNotOptimize(bfp::encodeBlock(
-                std::span<const float>(&values[i], 16), cfg));
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_BfpEncode);
+/// A train_resnet im2col operand: K = 72 (8 channels x 3x3) by N = 4096.
+constexpr int kEncodeK = 72;
+constexpr int kEncodeN = 4096;
 
 void
-BM_BfpRnsGemm(benchmark::State &state)
+BM_BfpEncode(benchmark::State &state, bool columns)
 {
-    const int n = static_cast<int>(state.range(0));
+    // The packed encoders the GEMMs run, with training's Nearest rounding:
+    // the 72 x 4096 operand's columns (B's side), or the same buffer read
+    // as 72 rows of 4096 (A's side).
+    Rng rng(4);
+    std::vector<float> values(static_cast<size_t>(kEncodeK) * kEncodeN);
+    for (auto &v : values)
+        v = static_cast<float>(rng.gaussian());
+    const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
+    Workspace ws;
+    for (auto _ : state) {
+        Workspace::Scope scope(ws);
+        const bfp::BfpPackedMatrix enc =
+            columns ? bfp::encodeColsPacked(values, kEncodeK, kEncodeN, cfg, ws)
+                    : bfp::encodeRowsPacked(values, kEncodeK, kEncodeN, cfg,
+                                            ws);
+        benchmark::DoNotOptimize(enc.mantissas.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * kEncodeK * kEncodeN);
+}
+BENCHMARK_CAPTURE(BM_BfpEncode, rows, false);
+BENCHMARK_CAPTURE(BM_BfpEncode, cols, true);
+
+void
+BM_BfpRnsGemm(benchmark::State &state, int m, int k, int n,
+              bfp::Rounding rounding)
+{
     Rng rng(5);
-    std::vector<float> a(static_cast<size_t>(n) * n),
-        b(static_cast<size_t>(n) * n);
+    std::vector<float> a(static_cast<size_t>(m) * k),
+        b(static_cast<size_t>(k) * n), c(static_cast<size_t>(m) * n);
     for (auto &v : a)
         v = static_cast<float>(rng.gaussian());
     for (auto &v : b)
         v = static_cast<float>(rng.gaussian());
     bfp::BfpGemmOptions opts;
-    opts.config = {4, 16, bfp::Rounding::Truncate};
+    opts.config = {4, 16, rounding};
     opts.moduli = rns::ModuliSet::special(5);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(bfp::bfpGemm(a, b, n, n, n, opts));
-    state.SetItemsProcessed(state.iterations() * int64_t{n} * n * n);
+    for (auto _ : state) {
+        bfp::bfpGemm(a, b, c, m, k, n, opts);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t{m} * k * n);
 }
-BENCHMARK(BM_BfpRnsGemm)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_BfpRnsGemm, 32, 32, 32, 32, bfp::Rounding::Truncate);
+BENCHMARK_CAPTURE(BM_BfpRnsGemm, 64, 64, 64, 64, bfp::Rounding::Truncate);
+BENCHMARK_CAPTURE(BM_BfpRnsGemm, 128, 128, 128, 128, bfp::Rounding::Truncate);
+// train_resnet's skinny forward shape: 8 filters over a 72 x 4096 im2col.
+BENCHMARK_CAPTURE(BM_BfpRnsGemm, 8x72x4096_nearest, 8, 72, 4096,
+                  bfp::Rounding::Nearest);
 
 void
 BM_Fp32Gemm(benchmark::State &state)

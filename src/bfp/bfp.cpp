@@ -47,20 +47,94 @@ BfpBlock::decode(size_t i, int bm) const
 
 namespace {
 
-/** std::floor for |x| < 2^31, without the libm call. */
+/** std::floor for |x| < 2^31, without the libm call. Trunc-and-compare
+ *  written as a select, which GCC vectorizes (a bool-to-int subtract it
+ *  does not). */
 inline int32_t
 floorInt(double x)
 {
     const int32_t t = static_cast<int32_t>(x); // toward zero
-    return t - (t > x ? 1 : 0);
+    return t > x ? t - 1 : t;
 }
 
-/** std::ceil for |x| < 2^31. */
-inline int32_t
-ceilInt(double x)
+/** |v| as its IEEE bit pattern: orders like |v|, non-finite values last. */
+inline uint32_t
+magnitudeBits(float v)
 {
-    const int32_t t = static_cast<int32_t>(x);
-    return t + (t < x ? 1 : 0);
+    return std::bit_cast<uint32_t>(v) & 0x7fffffffu;
+}
+
+/**
+ * Shared exponent of a group whose largest magnitude has bit pattern
+ * `max_bits`: the frexp exponent of that element, so |v| < 2^shared for
+ * every v in the group (subnormals carry no implicit bit). An all-zero
+ * group gets 0; a non-finite value is fatal.
+ */
+int
+sharedExponent(uint32_t max_bits)
+{
+    if (max_bits >= 0x7f800000u)
+        MIRAGE_FATAL("non-finite value in BFP group");
+    if (max_bits == 0)
+        return 0;
+    const int biased = static_cast<int>(max_bits >> 23);
+    return biased != 0 ? biased - 126
+                       : static_cast<int>(std::bit_width(max_bits)) - 149;
+}
+
+template <Rounding R>
+using Mode = std::integral_constant<Rounding, R>;
+
+/** Calls f(Mode<r>{}), so each rounding gets its own quantize loop. */
+template <typename F>
+void
+withRounding(Rounding r, F &&f)
+{
+    switch (r) {
+      case Rounding::Truncate: f(Mode<Rounding::Truncate>{}); break;
+      case Rounding::Nearest: f(Mode<Rounding::Nearest>{}); break;
+      case Rounding::Stochastic: f(Mode<Rounding::Stochastic>{}); break;
+    }
+}
+
+/**
+ * The quantize core of every encoder: q = clip(round(v * scale)) into the
+ * (bm+1)-bit two's-complement range [-q_max - 1, q_max], counting clips.
+ * value = q * 2^(e - bm), so scale = 2^(bm - e): with bm - e in
+ * [-127, 163] it is a normal double and the product is exact, as std::ldexp
+ * would be. |v * scale| < 2^bm <= 2^15, so the integer casts are exact
+ * floor/trunc. Nearest and Truncate are branch-free (gradient signs are
+ * random, so a sign branch mispredicts); Stochastic draws once from `rng`
+ * per element; encoders pass a null `rng` for an all-zero group, which
+ * draws nothing.
+ */
+template <Rounding R>
+inline int32_t
+quantize(Mode<R>, float v, double scale, int32_t q_max, int &clipped,
+         Rng *rng)
+{
+    const double x = static_cast<double>(v) * scale;
+    int32_t q;
+    if constexpr (R == Rounding::Nearest) {
+        // Half away from zero: round |x|, then restore the sign. For every
+        // x, including -0 and ties, this is floor(x + 0.5) / ceil(x - 0.5).
+        const int32_t t = static_cast<int32_t>(std::fabs(x) + 0.5);
+        q = x < 0.0 ? -t : t;
+    } else if constexpr (R == Rounding::Truncate) {
+        // Hardware truncation drops LSBs of the two's-complement mantissa,
+        // which rounds toward -inf (floor) — not toward zero. Toward-zero
+        // truncation would systematically shrink gradient magnitudes and
+        // stall training.
+        q = floorInt(x);
+    } else {
+        q = floorInt(x);
+        if (rng != nullptr)
+            q += rng->uniformReal() < x - q ? 1 : 0;
+        else // only an all-zero group may encode without draws
+            MIRAGE_ASSERT(x == 0.0, "stochastic rounding needs an Rng");
+    }
+    clipped += (q > q_max) + (q < -q_max - 1);
+    return std::clamp(q, -q_max - 1, q_max);
 }
 
 } // namespace
@@ -100,81 +174,64 @@ encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
     MIRAGE_ASSERT(mantissas.size() >= values.size(),
                   "mantissa buffer too small");
 
-    const auto note = [tally](int shared, int clipped) {
-        if (tally)
-            tally->add(shared, clipped);
-        else
-            obs::fidelity::noteBfpGroup(shared, clipped);
-    };
-    // |v| orders like its IEEE bit pattern with the sign cleared, and the
-    // frexp exponent is monotone in |v|: the group's maximum element
-    // exponent is that of its largest magnitude. Any non-finite value has
-    // the largest bit patterns of all.
     uint32_t max_bits = 0;
     for (float v : values)
-        max_bits = std::max(max_bits, std::bit_cast<uint32_t>(v) & 0x7fffffffu);
-    if (max_bits >= 0x7f800000u)
-        MIRAGE_FATAL("non-finite value in BFP group");
-    if (max_bits == 0) { // all-zero group: no rounding, no rng draws
-        for (size_t i = 0; i < values.size(); ++i)
-            mantissas[i] = 0;
-        note(0, 0);
-        return 0;
-    }
-    // frexp exponent of the largest magnitude, read off its bits: |v| <
-    // 2^shared for every v in the group. Subnormals carry no implicit bit.
-    const int biased = static_cast<int>(max_bits >> 23);
-    const int shared = biased != 0
-                           ? biased - 126
-                           : static_cast<int>(std::bit_width(max_bits)) - 149;
-
-    // value = q * 2^(e - bm)  =>  q = value * 2^(bm - e). bm - e lies in
-    // [-127, 163], so the power-of-two factor is a normal double and the
-    // product is exact — the same value std::ldexp would return. The
-    // mantissa is a (bm+1)-bit two's-complement integer: [-2^bm, 2^bm - 1].
-    // Every rounding argument below is < 2^16 in magnitude, so floorInt
-    // and ceilInt are exactly std::floor/std::ceil.
+        max_bits = std::max(max_bits, magnitudeBits(v));
+    const int shared = sharedExponent(max_bits);
     const double scale = pow2d(cfg.bm - shared);
     const int32_t q_max = (1 << cfg.bm) - 1;
-    const int32_t q_min = -(1 << cfg.bm);
+    Rng *draws = max_bits != 0 ? rng : nullptr;
     int clipped = 0;
-    const auto quantize = [&](auto round) {
-        for (size_t i = 0; i < values.size(); ++i) {
-            int32_t q = round(static_cast<double>(values[i]) * scale);
-            if (q > q_max) {
-                q = q_max;
-                ++clipped;
-            }
-            if (q < q_min) {
-                q = q_min;
-                ++clipped;
-            }
-            mantissas[i] = q;
-        }
-    };
-    switch (cfg.rounding) {
-      case Rounding::Truncate:
-        // Hardware truncation drops LSBs of the two's-complement mantissa,
-        // which rounds toward -inf (floor) — not toward zero. Toward-zero
-        // truncation would systematically shrink gradient magnitudes and
-        // stall training.
-        quantize([](double x) { return floorInt(x); });
-        break;
-      case Rounding::Nearest: // half away from zero
-        quantize([](double x) {
-            return x >= 0.0 ? floorInt(x + 0.5) : ceilInt(x - 0.5);
-        });
-        break;
-      case Rounding::Stochastic:
-        MIRAGE_ASSERT(rng != nullptr, "stochastic rounding needs an Rng");
-        quantize([rng](double x) {
-            const int32_t floor_x = floorInt(x);
-            return floor_x + (rng->uniformReal() < x - floor_x ? 1 : 0);
-        });
-        break;
-    }
-    note(shared, clipped);
+    withRounding(cfg.rounding, [&](auto mode) {
+        for (size_t i = 0; i < values.size(); ++i)
+            mantissas[i] =
+                quantize(mode, values[i], scale, q_max, clipped, draws);
+    });
+    if (tally)
+        tally->add(shared, clipped);
+    else
+        obs::fidelity::noteBfpGroup(shared, clipped);
     return shared;
+}
+
+void
+encodeColumnBlock(const float *b, int64_t ldb, int k_depth, int cols,
+                  const BfpConfig &cfg, int32_t *mant, int64_t ldm,
+                  int32_t *exps, int64_t lde, Rng *const *rngs,
+                  GroupTally &tally)
+{
+    cfg.validate();
+    MIRAGE_ASSERT(cols >= 1 && cols <= kColumnBlock, "bad column block");
+    const int32_t q_max = (1 << cfg.bm) - 1;
+    for (int start = 0; start < k_depth; start += cfg.g) {
+        const int len = std::min(cfg.g, k_depth - start);
+        const float *src = b + start * ldb;
+        int32_t *dst = mant + start * ldm;
+        int32_t *exp = exps + (start / cfg.g) * lde;
+        uint32_t max_bits[kColumnBlock] = {};
+        for (int t = 0; t < len; ++t)
+            for (int j = 0; j < cols; ++j)
+                max_bits[j] =
+                    std::max(max_bits[j], magnitudeBits(src[t * ldb + j]));
+        double scale[kColumnBlock];
+        Rng *draws[kColumnBlock];
+        int clipped[kColumnBlock] = {};
+        for (int j = 0; j < cols; ++j) {
+            exp[j] = sharedExponent(max_bits[j]);
+            scale[j] = pow2d(cfg.bm - exp[j]);
+            draws[j] = max_bits[j] != 0 ? rngs[j] : nullptr;
+        }
+        // Row segment by row segment: column j still draws in t order.
+        withRounding(cfg.rounding, [&](auto mode) {
+            for (int t = 0; t < len; ++t)
+                for (int j = 0; j < cols; ++j)
+                    dst[t * ldm + j] = quantize(mode, src[t * ldb + j],
+                                                scale[j], q_max, clipped[j],
+                                                draws[j]);
+        });
+        for (int j = 0; j < cols; ++j)
+            tally.add(exp[j], clipped[j]);
+    }
 }
 
 BfpBlock

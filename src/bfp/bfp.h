@@ -108,6 +108,24 @@ int encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
                     std::span<int32_t> mantissas, Rng *rng = nullptr,
                     GroupTally *tally = nullptr);
 
+/** Columns per encodeColumnBlock call: one 64-byte line of floats. */
+inline constexpr int kColumnBlock = 16;
+
+/**
+ * Column-blocked twin of encodeGroupInto (same quantize core, same bits):
+ * encodes the K-chunk groups of `cols` <= kColumnBlock adjacent columns of
+ * a k_depth-row matrix whose element (t, j) is b[t * ldb + j]. Per chunk,
+ * a max pass and then a quantize pass read the g row segments of the block
+ * contiguously; mantissa (t, j) goes to mant[t * ldm + j] (rows past
+ * k_depth are not written) and chunk c's exponent of column j to
+ * exps[c * lde + j]. rngs[j] is column j's rounding stream (null unless
+ * stochastic): its draws run in (chunk, t) order, as encodeGroupInto's.
+ */
+void encodeColumnBlock(const float *b, int64_t ldb, int k_depth, int cols,
+                       const BfpConfig &cfg, int32_t *mant, int64_t ldm,
+                       int32_t *exps, int64_t lde, Rng *const *rngs,
+                       GroupTally &tally);
+
 /** Decodes a whole block back to floats (the "fake quantization" view). */
 std::vector<float> decodeBlock(const BfpBlock &block, const BfpConfig &cfg);
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -16,9 +17,10 @@ namespace bfp {
 
 namespace {
 
-/// Rows per parallelFor block. Fixed (never derived from the thread count)
-/// so the block decomposition — and with it every per-row Rng substream —
-/// is identical at every thread count. (Rng substreams are per-row, so the
+/// Rows per parallelFor block (column encodes take one kColumnBlock block
+/// per step). Fixed (never derived from the thread count) so the block
+/// decomposition — and with it every per-row Rng substream — is identical
+/// at every thread count. (Rng substreams are per-row, so the
 /// runtime::serialBelow small-workload collapse never changes results.)
 constexpr int64_t kEncodeGrain = 8;
 constexpr int64_t kComputeGrain = 4;
@@ -30,7 +32,7 @@ constexpr int64_t kComputeGrain = 4;
 constexpr int64_t kMinEncodeWork = 16384;
 constexpr int64_t kMinComputeWork = 65536;
 
-/// Output rows per register-tiled panel (simd::gemmPanel4I32I64).
+/// Output rows per register-tiled panel (simd::gemmPanel4I32I32/I32I64).
 constexpr int kRowBlock = 4;
 /// Output-column tile: one chunk's g x kColTile B panel and the 4 x kColTile
 /// accumulators stay L1-resident. Tiling never reorders any element's
@@ -63,45 +65,51 @@ struct RoundingStreams
 };
 
 /**
- * Encodes the columns of B (KxN, row-major) into K-chunk groups: column j
- * draws from its own rounding substream, chunks in ascending order, and
- * `store(j, chunk, mantissas, exponent)` places each encoded group.
+ * B's column groups in B's own K-major layout: mantissa (t, j) at
+ * mant[t * n_cols + j] (k_depth rows, no padding) and chunk c's exponent
+ * of column j at exps[c * n_cols + j].
  */
-template <typename Store>
-void
-encodeColumns(std::span<const float> b, int k_depth, int n_cols,
-              const BfpConfig &cfg, Rng *rng, Store &&store)
+struct KMajorCols
+{
+    std::span<int32_t> mant;
+    std::span<int32_t> exps;
+};
+
+/** Encodes B (KxN, row-major) kColumnBlock columns at a time; column j
+ *  draws from its own rounding substream, chunks in ascending order. */
+KMajorCols
+encodeColsKMajor(std::span<const float> b, int k_depth, int n_cols,
+                 const BfpConfig &cfg, Workspace &ws, Rng *rng)
 {
     MIRAGE_ASSERT(b.size() == static_cast<size_t>(k_depth) * n_cols,
                   "matrix shape mismatch");
-    const int chunks = static_cast<int>(ceilDiv(k_depth, cfg.g));
+    const KMajorCols out{
+        ws.alloc<int32_t>(static_cast<size_t>(k_depth) * n_cols),
+        ws.alloc<int32_t>(static_cast<size_t>(ceilDiv(k_depth, cfg.g)) *
+                          n_cols)};
     const RoundingStreams streams(cfg, rng);
+    const int64_t blocks = ceilDiv(n_cols, kColumnBlock);
     runtime::parallelFor(
-        n_cols,
-        runtime::serialBelow(n_cols, kEncodeGrain,
-                             static_cast<int64_t>(k_depth) * n_cols,
+        blocks,
+        runtime::serialBelow(blocks, 1, static_cast<int64_t>(k_depth) * n_cols,
                              kMinEncodeWork),
-        [&](int64_t j0, int64_t j1) {
-            Workspace &tws = threadWorkspace();
-            Workspace::Scope tscope(tws);
-            std::span<float> group = tws.alloc<float>(cfg.g);
-            std::span<int32_t> q = tws.alloc<int32_t>(cfg.g);
+        [&](int64_t b0, int64_t b1) {
             GroupTally tally;
-            for (int64_t j = j0; j < j1; ++j) {
-                std::optional<Rng> col_rng = streams.stream(j);
-                for (int c = 0; c < chunks; ++c) {
-                    const int start = c * cfg.g;
-                    const size_t len =
-                        static_cast<size_t>(std::min(cfg.g, k_depth - start));
-                    for (size_t t = 0; t < len; ++t)
-                        group[t] = b[(start + t) * n_cols + j];
-                    const int exponent = encodeGroupInto(
-                        group.first(len), cfg, q, col_rng ? &*col_rng : nullptr,
-                        &tally);
-                    store(static_cast<int>(j), c, q.first(len), exponent);
+            for (int64_t blk = b0; blk < b1; ++blk) {
+                const int j0 = static_cast<int>(blk) * kColumnBlock;
+                const int cols = std::min(kColumnBlock, n_cols - j0);
+                std::optional<Rng> col_rng[kColumnBlock];
+                Rng *rngs[kColumnBlock] = {};
+                for (int j = 0; j < cols; ++j) {
+                    col_rng[j] = streams.stream(j0 + j);
+                    rngs[j] = col_rng[j] ? &*col_rng[j] : nullptr;
                 }
+                encodeColumnBlock(b.data() + j0, n_cols, k_depth, cols, cfg,
+                                  out.mant.data() + j0, n_cols,
+                                  out.exps.data() + j0, n_cols, rngs, tally);
             }
         });
+    return out;
 }
 
 /**
@@ -112,16 +120,18 @@ encodeColumns(std::span<const float> b, int k_depth, int n_cols,
  * vectorizable multiply. Rows with any dot outside that range take the
  * ldexp form for every element.
  */
+template <typename Dot>
 inline void
-scaleAccumulate(const int64_t *isum, int ea, const int32_t *eb, float *acc,
-                int n)
+scaleAccumulate(const Dot *isum, int ea, const int32_t *eb, float *acc, int n)
 {
     // Range scan with shifts and ORs only, so it vectorizes on baseline
-    // SSE2: isum + 2^24 in [0, 2^25) and e + 126, e + 128 in [0, 256).
-    uint64_t isum_out = 0;
+    // SSE2: isum + 2^24 in [0, 2^25) (modulo 2^width) and e + 126, e + 128
+    // in [0, 256).
+    using U = std::make_unsigned_t<Dot>;
+    U isum_out = 0;
     uint32_t e_out = 0;
     for (int j = 0; j < n; ++j) {
-        isum_out |= static_cast<uint64_t>(isum[j] + (int64_t{1} << 24)) >> 25;
+        isum_out |= (static_cast<U>(isum[j]) + (U{1} << 24)) >> 25;
         const uint32_t e = static_cast<uint32_t>(ea + eb[j]);
         e_out |= ((e + 126) | (e + 128)) >> 8;
     }
@@ -134,6 +144,83 @@ scaleAccumulate(const int64_t *isum, int ea, const int32_t *eb, float *acc,
             acc[j] += static_cast<float>(
                 std::ldexp(static_cast<double>(isum[j]), ea + eb[j]));
     }
+}
+
+/**
+ * C = A_enc * B_enc. Per output tile, each chunk is one exact integer panel
+ * GEMM (A's 4 x kd chunk slice times B's kd x 64 panel, kd the chunk's real
+ * length) into `Dot` sums; its dots are scaled and added into the FP32 tile
+ * in ascending chunk order — exactly the per-element FP32 accumulation
+ * sequence of Mirage's dataflow step 9. Output rows are independent and
+ * rng-free, so any row blocking or thread count gives bit-identical results.
+ */
+template <typename Dot>
+void
+multiplyChunks(const BfpPackedMatrix &a_enc, const KMajorCols &b_enc,
+               int k_depth, int n_cols, int bm, std::span<float> c)
+{
+    const int m_rows = a_enc.rows;
+    const int g = a_enc.g;
+    const int64_t lda = static_cast<int64_t>(a_enc.chunk_count) * g;
+    runtime::parallelFor(
+        m_rows,
+        runtime::serialBelow(m_rows, kComputeGrain,
+                             static_cast<int64_t>(m_rows) * k_depth * n_cols,
+                             kMinComputeWork),
+        [&](int64_t i0, int64_t i1) {
+            Workspace &tws = threadWorkspace();
+            Workspace::Scope tscope(tws);
+            const size_t tile = static_cast<size_t>(kRowBlock) * kColTile;
+            Dot *isum = tws.alloc<Dot>(tile).data();
+            float *acc = tws.alloc<float>(tile).data();
+            for (int64_t ib = i0; ib < i1; ib += kRowBlock) {
+                const int rows =
+                    static_cast<int>(std::min<int64_t>(kRowBlock, i1 - ib));
+                // An m % 4 row tail runs as a full panel over zero rows.
+                const int32_t *a_rows = a_enc.mantissas.data() + ib * lda;
+                if (rows < kRowBlock) {
+                    std::span<int32_t> pad = tws.zeroed<int32_t>(
+                        static_cast<size_t>(kRowBlock) * lda);
+                    std::copy(a_rows, a_rows + rows * lda, pad.begin());
+                    a_rows = pad.data();
+                }
+                for (int j0 = 0; j0 < n_cols; j0 += kColTile) {
+                    const int jt = std::min(kColTile, n_cols - j0);
+                    std::fill(acc, acc + static_cast<size_t>(rows) * jt,
+                              0.0f);
+                    for (int ch = 0; ch < a_enc.chunk_count; ++ch) {
+                        const int kd = std::min(g, k_depth - ch * g);
+                        std::fill(isum,
+                                  isum + static_cast<size_t>(kRowBlock) * jt,
+                                  Dot{0});
+                        const int32_t *b_panel =
+                            &b_enc.mant[static_cast<size_t>(ch) * g * n_cols +
+                                        j0];
+                        if constexpr (std::is_same_v<Dot, int32_t>)
+                            simd::gemmPanel4I32I32(a_rows + ch * g, lda,
+                                                   b_panel, n_cols, kd, isum,
+                                                   jt);
+                        else
+                            simd::gemmPanel4I32I64(a_rows + ch * g, lda,
+                                                   b_panel, n_cols, kd, isum,
+                                                   jt);
+                        const int32_t *eb =
+                            &b_enc.exps[static_cast<size_t>(ch) * n_cols + j0];
+                        for (int r = 0; r < rows; ++r)
+                            scaleAccumulate(
+                                isum + static_cast<size_t>(r) * jt,
+                                a_enc.exponent(static_cast<int>(ib) + r, ch) -
+                                    2 * bm,
+                                eb, acc + static_cast<size_t>(r) * jt, jt);
+                    }
+                    for (int r = 0; r < rows; ++r)
+                        std::copy(acc + static_cast<size_t>(r) * jt,
+                                  acc + static_cast<size_t>(r + 1) * jt,
+                                  &c[static_cast<size_t>(ib + r) * n_cols +
+                                     j0]);
+                }
+            }
+        });
 }
 
 } // namespace
@@ -187,17 +274,21 @@ encodeColsPacked(std::span<const float> b, int k_depth, int n_cols,
     out.rows = n_cols;
     out.g = cfg.g;
     out.chunk_count = static_cast<int>(ceilDiv(k_depth, cfg.g));
-    const size_t blocks = static_cast<size_t>(n_cols) * out.chunk_count;
-    out.mantissas = ws.zeroed<int32_t>(blocks * cfg.g);
-    out.exponents = ws.alloc<int32_t>(blocks);
-    encodeColumns(b, k_depth, n_cols, cfg, rng,
-                  [&](int j, int c, std::span<const int32_t> q, int exponent) {
-                      const size_t blk =
-                          static_cast<size_t>(j) * out.chunk_count + c;
-                      std::copy(q.begin(), q.end(),
-                                out.mantissas.begin() + blk * cfg.g);
-                      out.exponents[blk] = exponent;
-                  });
+    const size_t line = static_cast<size_t>(out.chunk_count) * cfg.g;
+    out.mantissas = ws.zeroed<int32_t>(line * n_cols);
+    out.exponents = ws.alloc<int32_t>(static_cast<size_t>(n_cols) *
+                                      out.chunk_count);
+    Workspace::Scope scope(ws);
+    const KMajorCols kmajor =
+        encodeColsKMajor(b, k_depth, n_cols, cfg, ws, rng);
+    for (int t = 0; t < k_depth; ++t)
+        for (int j = 0; j < n_cols; ++j)
+            out.mantissas[j * line + t] =
+                kmajor.mant[static_cast<size_t>(t) * n_cols + j];
+    for (int ch = 0; ch < out.chunk_count; ++ch)
+        for (int j = 0; j < n_cols; ++j)
+            out.exponents[static_cast<size_t>(j) * out.chunk_count + ch] =
+                kmajor.exps[static_cast<size_t>(ch) * n_cols + j];
     return out;
 }
 
@@ -231,93 +322,13 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
     Workspace::Scope scope(ws);
     const BfpPackedMatrix a_enc =
         encodeRowsPacked(a, m_rows, k_depth, cfg, ws, rng);
-    const int chunks = a_enc.chunk_count;
-    const int g = cfg.g;
-    const int64_t lda = static_cast<int64_t>(chunks) * g;
-    // B's columns encoded K-major: a (chunks * g) x n mantissa matrix — B's
-    // own layout, zero-padded to whole chunks — so chunk ch is the
-    // contiguous g x n panel at row ch * g. Exponents are chunks x n.
-    std::span<int32_t> b_mant =
-        ws.alloc<int32_t>(static_cast<size_t>(lda) * n_cols);
-    std::span<int32_t> b_exp =
-        ws.alloc<int32_t>(static_cast<size_t>(chunks) * n_cols);
-    std::fill(b_mant.begin() + static_cast<size_t>(k_depth) * n_cols,
-              b_mant.end(), 0);
-    encodeColumns(b, k_depth, n_cols, cfg, rng,
-                  [&](int j, int ch, std::span<const int32_t> q, int e) {
-                      int32_t *dst = &b_mant[static_cast<size_t>(ch) * g *
-                                                 n_cols + j];
-                      for (size_t t = 0; t < q.size(); ++t)
-                          dst[t * n_cols] = q[t];
-                      b_exp[static_cast<size_t>(ch) * n_cols + j] = e;
-                  });
-
-    // Per output tile, each chunk is one exact int32 -> int64 panel GEMM
-    // (A's 4 x g chunk slice times B's g x 64 panel); its dots are scaled
-    // and added into the FP32 tile in ascending chunk order — exactly the
-    // per-element FP32 accumulation sequence of Mirage's dataflow step 9.
-    // Output rows are independent and rng-free, so any row blocking or
-    // thread count gives bit-identical results.
-    runtime::parallelFor(
-        m_rows,
-        runtime::serialBelow(m_rows, kComputeGrain,
-                             static_cast<int64_t>(m_rows) * k_depth * n_cols,
-                             kMinComputeWork),
-        [&](int64_t i0, int64_t i1) {
-            Workspace &tws = threadWorkspace();
-            Workspace::Scope tscope(tws);
-            const size_t tile = static_cast<size_t>(kRowBlock) * kColTile;
-            int64_t *isum = tws.alloc<int64_t>(tile).data();
-            float *acc = tws.alloc<float>(tile).data();
-            for (int64_t ib = i0; ib < i1; ib += kRowBlock) {
-                const int rows =
-                    static_cast<int>(std::min<int64_t>(kRowBlock, i1 - ib));
-                for (int j0 = 0; j0 < n_cols; j0 += kColTile) {
-                    const int jt = std::min(kColTile, n_cols - j0);
-                    std::fill(acc, acc + static_cast<size_t>(rows) * jt,
-                              0.0f);
-                    for (int ch = 0; ch < chunks; ++ch) {
-                        std::memset(isum, 0,
-                                    static_cast<size_t>(rows) * jt *
-                                        sizeof(int64_t));
-                        const int32_t *a_chunk =
-                            a_enc.chunk(static_cast<int>(ib), ch);
-                        const int32_t *b_panel =
-                            &b_mant[static_cast<size_t>(ch) * g * n_cols + j0];
-                        if (rows == kRowBlock) {
-                            simd::gemmPanel4I32I64(a_chunk, lda, b_panel,
-                                                   n_cols, g, isum, jt);
-                        } else {
-                            // m % 4 row tail: per-row axpys, same exact sums.
-                            for (int t = 0; t < g; ++t)
-                                for (int r = 0; r < rows; ++r) {
-                                    const int32_t a_rt = a_chunk[r * lda + t];
-                                    if (a_rt != 0)
-                                        simd::axpyI32I64(
-                                            a_rt,
-                                            b_panel +
-                                                static_cast<size_t>(t) * n_cols,
-                                            isum + static_cast<size_t>(r) * jt,
-                                            jt);
-                                }
-                        }
-                        const int32_t *eb =
-                            &b_exp[static_cast<size_t>(ch) * n_cols + j0];
-                        for (int r = 0; r < rows; ++r)
-                            scaleAccumulate(
-                                isum + static_cast<size_t>(r) * jt,
-                                a_enc.exponent(static_cast<int>(ib) + r, ch) -
-                                    2 * cfg.bm,
-                                eb, acc + static_cast<size_t>(r) * jt, jt);
-                    }
-                    for (int r = 0; r < rows; ++r)
-                        std::copy(acc + static_cast<size_t>(r) * jt,
-                                  acc + static_cast<size_t>(r + 1) * jt,
-                                  &c[static_cast<size_t>(ib + r) * n_cols +
-                                     j0]);
-                }
-            }
-        });
+    const KMajorCols b_enc = encodeColsKMajor(b, k_depth, n_cols, cfg, ws, rng);
+    // |chunk dot| <= g * 2^(2 bm): int32 panels whenever that fits (every
+    // paper configuration), int64 otherwise.
+    if ((int64_t{cfg.g} << (2 * cfg.bm)) <= INT32_MAX)
+        multiplyChunks<int32_t>(a_enc, b_enc, k_depth, n_cols, cfg.bm, c);
+    else
+        multiplyChunks<int64_t>(a_enc, b_enc, k_depth, n_cols, cfg.bm, c);
 }
 
 void
@@ -328,16 +339,6 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
     bfpGemm(a, b, c, m_rows, k_depth, n_cols, opts.config,
             opts.moduli ? &rns::cachedCodec(*opts.moduli) : nullptr,
             opts.rng);
-}
-
-std::vector<float>
-bfpGemm(const std::vector<float> &a, const std::vector<float> &b,
-        int m_rows, int k_depth, int n_cols, const BfpGemmOptions &opts)
-{
-    std::vector<float> c(static_cast<size_t>(m_rows) * n_cols);
-    bfpGemm(std::span<const float>(a), std::span<const float>(b),
-            std::span<float>(c), m_rows, k_depth, n_cols, opts);
-    return c;
 }
 
 } // namespace bfp

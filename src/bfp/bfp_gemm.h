@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "bfp/bfp.h"
 #include "common/workspace.h"
@@ -44,26 +43,29 @@ struct BfpGemmOptions
 };
 
 /**
- * C = A * B where A is MxK and B is KxN, all row-major FP32.
- * A's rows and B's columns are BFP-grouped along K in chunks of cfg.g.
+ * C = A * B where A is MxK and B is KxN, all row-major FP32, into
+ * caller-provided storage (size m*n). A's rows and B's columns are
+ * BFP-grouped along K in chunks of cfg.g.
  *
- * The span overload writes into caller-provided storage (size m*n) and
- * stages every temporary — A's packed rows, B's K-major chunk panels, the
- * integer and FP32 output tiles — in Workspace arenas, so warm
- * steady-state calls perform no heap allocation. The vector overload is a
- * thin allocating wrapper; results are bit-identical between the two.
+ * Layout: A's rows are packed [row][chunk][g]. B is encoded
+ * kColumnBlock (16) columns at a time straight into its own K-major
+ * layout — mantissa (t, j) at t * n + j, so chunk c is the contiguous
+ * g x n panel at row c * g — reading and writing whole row segments. Each
+ * (4-row block, 64-column tile, chunk) is one integer panel GEMM over the
+ * chunk's real length. Since |chunk dot| <= g * 2^(2 bm), the panels
+ * accumulate in int32 when g * 2^(2 bm) <= INT32_MAX (every paper
+ * configuration: bm=4, g=16 gives 4096) and in int64 otherwise.
+ *
+ * Every temporary — the encodings, the integer and FP32 output tiles —
+ * is staged in Workspace arenas, so warm steady-state calls perform no
+ * heap allocation.
  */
 void bfpGemm(std::span<const float> a, std::span<const float> b,
              std::span<float> c, int m_rows, int k_depth, int n_cols,
              const BfpGemmOptions &opts);
 
-std::vector<float> bfpGemm(const std::vector<float> &a,
-                           const std::vector<float> &b,
-                           int m_rows, int k_depth, int n_cols,
-                           const BfpGemmOptions &opts);
-
 /**
- * Core kernel behind both overloads: a non-null `codec` selects the RNS
+ * Core kernel behind the options overload: a non-null `codec` selects the RNS
  * datapath (Eq. (13) check and overflow-margin telemetry). Callers that
  * execute many GEMMs over one moduli set pass a cached codec
  * (rns::cachedCodec) so per-call setup allocates nothing.
@@ -108,7 +110,8 @@ BfpPackedMatrix encodeRowsPacked(std::span<const float> a, int m_rows,
                                  int k_depth, const BfpConfig &cfg,
                                  Workspace &ws, Rng *rng = nullptr);
 
-/** Packed encodeCols: scratch comes from (and stays valid inside) `ws`. */
+/** Packed column encode: bfpGemm's column-blocked encoder, re-laid out as
+ *  [column][chunk][g]. Scratch comes from (and stays valid inside) `ws`. */
 BfpPackedMatrix encodeColsPacked(std::span<const float> b, int k_depth,
                                  int n_cols, const BfpConfig &cfg,
                                  Workspace &ws, Rng *rng = nullptr);

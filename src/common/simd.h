@@ -8,8 +8,9 @@
  *
  * Every operation here is **bit-identical to its scalar reference**:
  *
- * - The integer dots and axpys are exact 64-bit arithmetic, so lane order
- *   cannot change the result.
+ * - The integer dots and axpys are exact 64-bit arithmetic (the int32
+ *   panel is exact int32 arithmetic under its caller's bound), so lane
+ *   order cannot change the result.
  * - The FP32 axpys perform one IEEE multiply followed by one IEEE add per
  *   element — the same two roundings, in the same per-element order, as
  *   the scalar loop. No FMA contraction is used (the AVX2 bodies are
@@ -193,6 +194,25 @@ gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
             int64_t *row = acc + static_cast<size_t>(r) * jt;
             for (int j = 0; j < jt; ++j)
                 row[j] += static_cast<int64_t>(ar) * b_row[j];
+        }
+    }
+}
+
+/** Integer panel twin with an int32 panel: exact only while every partial
+ *  sum fits in int32 — the caller bounds kd and the operand magnitudes. */
+inline void
+gemmPanel4I32I32(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
+                 int kd, int32_t *acc, int jt)
+{
+    for (int k = 0; k < kd; ++k) {
+        const int32_t *b_row = b + static_cast<size_t>(k) * ldb;
+        for (int r = 0; r < 4; ++r) {
+            const int32_t ar = a[static_cast<size_t>(r) * lda + k];
+            if (ar == 0)
+                continue;
+            int32_t *row = acc + static_cast<size_t>(r) * jt;
+            for (int j = 0; j < jt; ++j)
+                row[j] += ar * b_row[j];
         }
     }
 }
@@ -601,6 +621,75 @@ gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
     }
 }
 
+/** Register-tiled int32 panel: 16-column tiles (4 rows x 2 ymm of eight
+ *  i32 lanes), twice the columns per op of gemmPanel4I32I64. No zero skip:
+ *  a zero product adds nothing, and random zero patterns (ReLU outputs)
+ *  would mispredict. Exact under the scalar twin's bound, so identical. */
+__attribute__((target("avx2"))) inline void
+gemmPanel4I32I32(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
+                 int kd, int32_t *acc, int jt)
+{
+    int32_t *acc1 = acc + jt;
+    int32_t *acc2 = acc + 2 * jt;
+    int32_t *acc3 = acc + 3 * jt;
+    int j = 0;
+    for (; j + 16 <= jt; j += 16) {
+        __m256i c00 = _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc + j));
+        __m256i c01 =
+            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc + j + 8));
+        __m256i c10 =
+            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc1 + j));
+        __m256i c11 =
+            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc1 + j + 8));
+        __m256i c20 =
+            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc2 + j));
+        __m256i c21 =
+            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc2 + j + 8));
+        __m256i c30 =
+            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc3 + j));
+        __m256i c31 =
+            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc3 + j + 8));
+        for (int k = 0; k < kd; ++k) {
+            const int32_t *b_row = b + static_cast<size_t>(k) * ldb + j;
+            const __m256i b0 = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(b_row));
+            const __m256i b1 = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(b_row + 8));
+            const __m256i a0 = _mm256_set1_epi32(a[k]);
+            const __m256i a1 = _mm256_set1_epi32(a[lda + k]);
+            const __m256i a2 = _mm256_set1_epi32(a[2 * lda + k]);
+            const __m256i a3 = _mm256_set1_epi32(a[3 * lda + k]);
+            c00 = _mm256_add_epi32(c00, _mm256_mullo_epi32(a0, b0));
+            c01 = _mm256_add_epi32(c01, _mm256_mullo_epi32(a0, b1));
+            c10 = _mm256_add_epi32(c10, _mm256_mullo_epi32(a1, b0));
+            c11 = _mm256_add_epi32(c11, _mm256_mullo_epi32(a1, b1));
+            c20 = _mm256_add_epi32(c20, _mm256_mullo_epi32(a2, b0));
+            c21 = _mm256_add_epi32(c21, _mm256_mullo_epi32(a2, b1));
+            c30 = _mm256_add_epi32(c30, _mm256_mullo_epi32(a3, b0));
+            c31 = _mm256_add_epi32(c31, _mm256_mullo_epi32(a3, b1));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j), c00);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j + 8), c01);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc1 + j), c10);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc1 + j + 8), c11);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc2 + j), c20);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc2 + j + 8), c21);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc3 + j), c30);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc3 + j + 8), c31);
+    }
+    if (j < jt) {
+        for (int k = 0; k < kd; ++k) {
+            const int32_t *b_row = b + static_cast<size_t>(k) * ldb;
+            for (int r = 0; r < 4; ++r) {
+                const int32_t ar = a[static_cast<size_t>(r) * lda + k];
+                int32_t *row = acc + static_cast<size_t>(r) * jt;
+                for (int jj = j; jj < jt; ++jj)
+                    row[jj] += ar * b_row[jj];
+            }
+        }
+    }
+}
+
 /** Register-tiled residue panel: 8-column tiles (4 rows x 2 ymm of four
  *  u64 lanes), 32x32->64 lane products. Exact — the caller bounds kd so
  *  raw sums cannot overflow and reduces between calls. */
@@ -912,6 +1001,13 @@ gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
 }
 
 inline void
+gemmPanel4I32I32(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
+                 int kd, int32_t *acc, int jt)
+{
+    scalar::gemmPanel4I32I32(a, lda, b, ldb, kd, acc, jt);
+}
+
+inline void
 gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
                   int64_t ldb, int kd, uint64_t *acc, int jt)
 {
@@ -1058,6 +1154,13 @@ gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
                  int kd, int64_t *acc, int jt)
 {
     MIRAGE_SIMD_DISPATCH(gemmPanel4I32I64, a, lda, b, ldb, kd, acc, jt);
+}
+
+inline void
+gemmPanel4I32I32(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
+                 int kd, int32_t *acc, int jt)
+{
+    MIRAGE_SIMD_DISPATCH(gemmPanel4I32I32, a, lda, b, ldb, kd, acc, jt);
 }
 
 inline void

@@ -11,12 +11,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "bfp/bfp.h"
 #include "bfp/bfp_gemm.h"
 #include "common/rng.h"
+#include "common/workspace.h"
 #include "rns/conversion.h"
 #include "rns/modulus.h"
 #include "test_support.h"
@@ -26,6 +29,7 @@ namespace bfp {
 namespace {
 
 using BfpSeeded = mirage::test::SeededTest;
+using mirage::test::bfpGemm;
 
 TEST(BfpBlock, SharedExponentIsMaxExponent)
 {
@@ -148,6 +152,34 @@ TEST(BfpGemmTest, MatchesFp32OnGridValues)
 }
 
 /**
+ * Reference encoding of `lines` lines of depth k, cut into g-chunks:
+ * blocks[line][chunk], each from encodeBlock. Stochastic lines draw from
+ * Rng::stream(base, line), base one draw from `rng` — the packed
+ * encoders' streams.
+ */
+template <typename Element>
+std::vector<std::vector<BfpBlock>>
+referenceGroups(int lines, int k, Element element, const BfpConfig &cfg,
+                Rng *rng)
+{
+    const bool stochastic =
+        rng != nullptr && cfg.rounding == Rounding::Stochastic;
+    const uint64_t base = stochastic ? rng->nextU64() : 0;
+    std::vector<std::vector<BfpBlock>> out(static_cast<size_t>(lines));
+    for (int line = 0; line < lines; ++line) {
+        Rng line_rng = Rng::stream(base, static_cast<uint64_t>(line));
+        for (int c = 0; c * cfg.g < k; ++c) {
+            std::vector<float> group;
+            for (int t = c * cfg.g; t < std::min(k, (c + 1) * cfg.g); ++t)
+                group.push_back(element(line, t));
+            out[static_cast<size_t>(line)].push_back(
+                encodeBlock(group, cfg, stochastic ? &line_rng : nullptr));
+        }
+    }
+    return out;
+}
+
+/**
  * Reference for the RNS datapath, independent of bfpGemm's kernels: every
  * group is encoded with encodeBlock (same per-row/column rounding streams
  * as bfpGemm: a base draw for A's rows, then one for B's columns), and
@@ -161,29 +193,13 @@ rnsReferenceGemm(const std::vector<float> &a, const std::vector<float> &b,
                  const rns::ModuliSet &set, Rng *rng = nullptr)
 {
     const rns::RnsCodec codec(set);
-    const bool stochastic =
-        rng != nullptr && cfg.rounding == Rounding::Stochastic;
     const int chunks = (k + cfg.g - 1) / cfg.g;
-    // blocks[line][chunk] for A's rows, then B's columns.
-    const auto encodeLines = [&](int lines, auto element) {
-        const uint64_t base = stochastic ? rng->nextU64() : 0;
-        std::vector<std::vector<BfpBlock>> out(static_cast<size_t>(lines));
-        for (int line = 0; line < lines; ++line) {
-            Rng line_rng = Rng::stream(base, static_cast<uint64_t>(line));
-            for (int c = 0; c < chunks; ++c) {
-                std::vector<float> group;
-                for (int t = c * cfg.g; t < std::min(k, (c + 1) * cfg.g); ++t)
-                    group.push_back(element(line, t));
-                out[static_cast<size_t>(line)].push_back(encodeBlock(
-                    group, cfg, stochastic ? &line_rng : nullptr));
-            }
-        }
-        return out;
-    };
-    const auto rows = encodeLines(
-        m, [&](int i, int t) { return a[static_cast<size_t>(i) * k + t]; });
-    const auto cols = encodeLines(
-        n, [&](int j, int t) { return b[static_cast<size_t>(t) * n + j]; });
+    const auto rows = referenceGroups(
+        m, k, [&](int i, int t) { return a[static_cast<size_t>(i) * k + t]; },
+        cfg, rng);
+    const auto cols = referenceGroups(
+        n, k, [&](int j, int t) { return b[static_cast<size_t>(t) * n + j]; },
+        cfg, rng);
 
     std::vector<float> c(static_cast<size_t>(m) * n);
     for (int i = 0; i < m; ++i) {
@@ -223,6 +239,133 @@ expectBitIdentical(const std::vector<float> &got,
         ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
                   std::bit_cast<uint32_t>(want[i]))
             << what << " @" << i << ": " << got[i] << " vs " << want[i];
+}
+
+/**
+ * rows x cols matrix holding the encoders' edge cases in both directions:
+ * row 1 and column 2 open with an all-+-0 group (which must draw no
+ * rounding randomness before the line's next group), row 3 and column 4
+ * are subnormal, row 5 and column 6 all 0.999 (a group maximum that
+ * rounds to 2^bm and clips), and -0.0 is scattered through the rest.
+ */
+std::vector<float>
+edgeCaseMatrix(Rng &rng, int rows, int cols)
+{
+    std::vector<float> x = mirage::test::gaussianVector(
+        rng, static_cast<size_t>(rows) * cols, 0, 4);
+    for (int i = 0; i < rows; ++i) {
+        for (int j = 0; j < cols; ++j) {
+            float &v = x[static_cast<size_t>(i) * cols + j];
+            if ((i == 1 && j < 16) || (j == 2 && i < 16))
+                v = (i + j) % 2 ? -0.0f : 0.0f;
+            else if (i == 3 || j == 4)
+                v *= 1e-40f;
+            else if (i == 5 || j == 6)
+                v = 0.999f;
+            else if ((i * cols + j) % 7 == 0)
+                v = -0.0f;
+        }
+    }
+    return x;
+}
+
+/**
+ * Expects every group of an encoding to equal its reference block:
+ * `mant(line, t)` reads depth t of a line, `exp(line, c)` a chunk's
+ * exponent. Depths in [k, depth) are padding and must be zero.
+ */
+template <typename Mant, typename Exp>
+void
+expectGroupsMatch(const std::vector<std::vector<BfpBlock>> &ref, int k,
+                  int depth, int g, Mant mant, Exp exp, const std::string &what)
+{
+    for (size_t line = 0; line < ref.size(); ++line) {
+        const int l = static_cast<int>(line);
+        for (size_t c = 0; c < ref[line].size(); ++c) {
+            const BfpBlock &blk = ref[line][c];
+            ASSERT_EQ(exp(l, static_cast<int>(c)), blk.exponent)
+                << what << " line " << line << " chunk " << c;
+            for (size_t t = 0; t < blk.mantissas.size(); ++t)
+                ASSERT_EQ(mant(l, static_cast<int>(c * g + t)),
+                          blk.mantissas[t])
+                    << what << " line " << line << " chunk " << c << " t " << t;
+        }
+        for (int t = k; t < depth; ++t)
+            ASSERT_EQ(mant(l, t), 0) << what << " padding, line " << line;
+    }
+}
+
+TEST_F(BfpSeeded, PackedEncodersMatchBlockEncode)
+{
+    // Each layout the GEMMs read — A's packed rows, PhotonicBackend's
+    // packed columns, and bfpGemm's K-major column blocks — holds exactly
+    // encodeBlock's groups, rng draws included. 37 = 2 g + 5 rows (ragged
+    // chunk) by 21 = 16 + 5 columns (ragged column block).
+    const int rows_n = 37, cols_n = 21;
+    const std::vector<float> x = edgeCaseMatrix(rng, rows_n, cols_n);
+    const auto at = [&](int i, int j) {
+        return x[static_cast<size_t>(i) * cols_n + j];
+    };
+    for (const Rounding rounding :
+         {Rounding::Truncate, Rounding::Nearest, Rounding::Stochastic}) {
+        const BfpConfig cfg{4, 16, rounding};
+        const std::string what = toString(rounding);
+        const uint64_t seed = rng.nextU64();
+        Rng ref_rng(seed);
+        const auto ref_rows =
+            referenceGroups(rows_n, cols_n, at, cfg, &ref_rng);
+        const auto ref_cols = referenceGroups(
+            cols_n, rows_n, [&](int j, int t) { return at(t, j); }, cfg,
+            &ref_rng);
+
+        Rng enc_rng(seed);
+        Workspace ws;
+        Workspace::Scope scope(ws);
+        const BfpPackedMatrix rows =
+            encodeRowsPacked(x, rows_n, cols_n, cfg, ws, &enc_rng);
+        const BfpPackedMatrix cols =
+            encodeColsPacked(x, rows_n, cols_n, cfg, ws, &enc_rng);
+        EXPECT_EQ(enc_rng.nextU64(), ref_rng.nextU64()) << what;
+        const auto packed = [](const BfpPackedMatrix &p) {
+            return [&p](int line, int t) {
+                return p.chunk(line, t / p.g)[t % p.g];
+            };
+        };
+        const auto packed_exp = [](const BfpPackedMatrix &p) {
+            return [&p](int line, int c) { return p.exponent(line, c); };
+        };
+        expectGroupsMatch(ref_rows, cols_n, rows.chunk_count * cfg.g, cfg.g,
+                          packed(rows), packed_exp(rows), what + " rows");
+        expectGroupsMatch(ref_cols, rows_n, cols.chunk_count * cfg.g, cfg.g,
+                          packed(cols), packed_exp(cols), what + " cols");
+
+        // bfpGemm's K-major panel: B's own layout, one encodeColumnBlock
+        // per 16 columns, column j on Rng::stream(base, j).
+        const bool stochastic = rounding == Rounding::Stochastic;
+        Rng km_rng(seed);
+        if (stochastic)
+            km_rng.nextU64(); // the rows' base draw
+        const uint64_t base = stochastic ? km_rng.nextU64() : 0;
+        std::vector<int32_t> mant(x.size(), 12345), exps(3 * cols_n);
+        GroupTally tally;
+        for (int j0 = 0; j0 < cols_n; j0 += kColumnBlock) {
+            const int n = std::min(kColumnBlock, cols_n - j0);
+            std::vector<Rng> streams;
+            Rng *rngs[kColumnBlock] = {};
+            for (int j = 0; j < n && stochastic; ++j)
+                streams.push_back(Rng::stream(base, j0 + j));
+            for (size_t j = 0; j < streams.size(); ++j)
+                rngs[j] = &streams[j];
+            encodeColumnBlock(x.data() + j0, cols_n, rows_n, n, cfg,
+                              mant.data() + j0, cols_n, exps.data() + j0,
+                              cols_n, rngs, tally);
+        }
+        expectGroupsMatch(
+            ref_cols, rows_n, rows_n, cfg.g,
+            [&](int j, int t) { return mant[t * cols_n + j]; },
+            [&](int j, int c) { return exps[c * cols_n + j]; },
+            what + " K-major");
+    }
 }
 
 TEST_F(BfpSeeded, RnsPathIsTransparent)
@@ -361,6 +504,40 @@ TEST(BfpGemmTest, Eq13BoundaryMatchesRnsReference)
     EXPECT_EQ(rnsReferenceGemm(a, b, 1, 16, 1, cfg, short_set)[0], -16.0f);
 }
 
+TEST(BfpGemmTest, ChunkDotAccumulatorBoundary)
+{
+    // All-q_min operands (Truncate maps -0.99999 to -2^bm) make every
+    // chunk dot g * 2^(2 bm), the largest there is. bfpGemm accumulates in
+    // int32 only while that fits: at 2^31 it must take int64 (an int32
+    // sum would wrap to -2^31), at 2^30 int32 holds it. Each product
+    // scales to 1, so every output is exactly k.
+    const rns::ModuliSet set = rns::ModuliSet::special(13);
+    struct Case
+    {
+        int bm, g;
+        bool int32_dots;
+    };
+    for (const Case &cs : {Case{15, 2, false}, Case{14, 8, false},
+                           Case{14, 4, true}}) {
+        const BfpConfig cfg{cs.bm, cs.g, Rounding::Truncate};
+        const int64_t max_dot = int64_t{cs.g} << (2 * cs.bm);
+        ASSERT_EQ(max_dot <= INT32_MAX, cs.int32_dots);
+        ASSERT_TRUE(set.canHoldDotProduct(cfg.bm, cfg.g));
+        const int m = 5, k = 3 * cs.g + 1, n = 19; // ragged everywhere
+        const std::vector<float> a(static_cast<size_t>(m) * k, -0.99999f);
+        const std::vector<float> b(static_cast<size_t>(k) * n, -0.99999f);
+        BfpGemmOptions opts;
+        opts.config = cfg;
+        opts.moduli = set;
+        const auto got = bfpGemm(a, b, m, k, n, opts);
+        const std::string what = "bm=" + std::to_string(cs.bm) +
+                                 " g=" + std::to_string(cs.g);
+        expectBitIdentical(got, rnsReferenceGemm(a, b, m, k, n, cfg, set),
+                           what);
+        EXPECT_EQ(got[0], static_cast<float>(k)) << what;
+    }
+}
+
 TEST_F(BfpSeeded, QuantizationErrorShrinksWithMantissaBits)
 {
     const int m = 8, k = 64, n = 8;
@@ -401,6 +578,24 @@ TEST(BfpGemmDeath, RejectsModuliOneShortOfEq13)
     opts.moduli = rns::ModuliSet({8192});
     EXPECT_EXIT(bfpGemm(a, b, 1, 16, 1, opts), testing::ExitedWithCode(1),
                 "Eq. 13");
+}
+
+TEST(BfpGemmDeath, NonFiniteOperandsAreFatal)
+{
+    // A NaN in one of A's row groups and a +Inf in one of B's column
+    // groups (second, ragged column block) both stop the GEMM.
+    const int m = 2, k = 40, n = 20;
+    BfpGemmOptions opts;
+    opts.config = {4, 16, Rounding::Nearest};
+    std::vector<float> a(static_cast<size_t>(m) * k, 0.5f);
+    std::vector<float> b(static_cast<size_t>(k) * n, 0.25f);
+    a[k + 33] = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EXIT(bfpGemm(a, b, m, k, n, opts), testing::ExitedWithCode(1),
+                "non-finite value in BFP group");
+    a[k + 33] = 0.5f;
+    b[21 * n + 17] = std::numeric_limits<float>::infinity();
+    EXPECT_EXIT(bfpGemm(a, b, m, k, n, opts), testing::ExitedWithCode(1),
+                "non-finite value in BFP group");
 }
 
 TEST(BfpConfigTest, DotProductBits)

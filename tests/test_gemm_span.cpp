@@ -2,15 +2,14 @@
  * @file
  * Bit-equality tests for the span (allocation-free) GEMM APIs against the
  * legacy vector APIs, across every backend: format emulation (all data
- * formats), BFP/RNS, modular GEMM, the RNS GEMM engine, the photonic
- * MMVMU pipeline, and the PhotonicBackend. The span overloads are the hot
- * path; these tests pin the refactor to "same bits, fewer allocations".
+ * formats, BFP/RNS included), modular GEMM, the RNS GEMM engine, the
+ * photonic MMVMU pipeline, and the PhotonicBackend. The span overloads are
+ * the hot path; these tests pin the refactor to "same bits, fewer
+ * allocations".
  */
 
 #include <gtest/gtest.h>
 
-#include "bfp/bfp_gemm.h"
-#include "common/workspace.h"
 #include "nn/gemm_backend.h"
 #include "photonic/mmvmu.h"
 #include "rns/modular_gemm.h"
@@ -79,78 +78,6 @@ TEST_F(GemmSpanTest, FormatBackendGradFlagsCarryThroughSpanApi)
     backend.gemm(std::span<const float>(a), std::span<const float>(b), 1, 1,
                  1, true, false, std::span<float>(out));
     EXPECT_FLOAT_EQ(out[0], 1024.0f);
-}
-
-TEST_F(GemmSpanTest, BfpGemmSpanMatchesVector)
-{
-    const int m = 6, k = 40, n = 5;
-    const std::vector<float> a = randomMatrix(m, k);
-    const std::vector<float> b = randomMatrix(k, n);
-    for (const bool with_moduli : {false, true}) {
-        // Stochastic rounding exercises the packed encoders' per-row
-        // substreams; both sides must consume identical rng state.
-        bfp::BfpGemmOptions opts;
-        opts.config = {4, 16, bfp::Rounding::Stochastic};
-        if (with_moduli)
-            opts.moduli = test::paperModuli();
-        Rng rng_vec(7), rng_span(7);
-
-        opts.rng = &rng_vec;
-        const std::vector<float> c_vec = bfp::bfpGemm(a, b, m, k, n, opts);
-
-        opts.rng = &rng_span;
-        std::vector<float> c_span(static_cast<size_t>(m) * n);
-        bfp::bfpGemm(std::span<const float>(a), std::span<const float>(b),
-                     std::span<float>(c_span), m, k, n, opts);
-        for (size_t i = 0; i < c_vec.size(); ++i)
-            EXPECT_EQ(c_vec[i], c_span[i])
-                << (with_moduli ? "rns" : "plain") << " @" << i;
-        // Both paths must leave the caller rng in the same state.
-        EXPECT_EQ(rng_vec.nextU64(), rng_span.nextU64());
-    }
-}
-
-TEST_F(GemmSpanTest, PackedEncodeMatchesBlockEncode)
-{
-    const int m = 5, k = 37; // ragged tail chunk
-    const std::vector<float> a = randomMatrix(m, k);
-    const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
-
-    Workspace ws;
-    Workspace::Scope scope(ws);
-    const bfp::BfpPackedMatrix rows = bfp::encodeRowsPacked(a, m, k, cfg, ws);
-    // The same buffer read as a k x m matrix, encoded by columns.
-    const bfp::BfpPackedMatrix cols = bfp::encodeColsPacked(a, k, m, cfg, ws);
-
-    const int chunks = (k + cfg.g - 1) / cfg.g;
-    ASSERT_EQ(rows.chunk_count, chunks);
-    ASSERT_EQ(cols.chunk_count, chunks);
-    std::vector<float> group;
-    for (int r = 0; r < m; ++r) {
-        for (int c = 0; c < chunks; ++c) {
-            const int len = std::min(cfg.g, k - c * cfg.g);
-            const auto first = a.begin() + r * k + c * cfg.g;
-            const bfp::BfpBlock blk = bfp::encodeBlock(
-                std::span<const float>(&*first, static_cast<size_t>(len)),
-                cfg);
-            // Column r of the k x m view, gathered the same way.
-            group.clear();
-            for (int t = 0; t < len; ++t)
-                group.push_back(a[static_cast<size_t>(c * cfg.g + t) * m + r]);
-            const bfp::BfpBlock col_blk = bfp::encodeBlock(group, cfg);
-
-            EXPECT_EQ(blk.exponent, rows.exponent(r, c));
-            EXPECT_EQ(col_blk.exponent, cols.exponent(r, c));
-            for (int t = 0; t < cfg.g; ++t) {
-                // Packed tails are zero-padded.
-                const bool in = t < len;
-                EXPECT_EQ(rows.chunk(r, c)[t], in ? blk.mantissas[t] : 0)
-                    << r << "," << c << "," << t;
-                EXPECT_EQ(cols.chunk(r, c)[t], in ? col_blk.mantissas[t] : 0)
-                    << r << "," << c << "," << t;
-            }
-        }
-    }
 }
 
 TEST_F(GemmSpanTest, ModularGemmSpanMatchesVector)

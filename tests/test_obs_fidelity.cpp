@@ -375,12 +375,16 @@ TEST(FidelityHealth, BfpAndPhotonicCountersAccumulate)
 TEST(FidelityHealth, PackedEncodeNotesMatchPerGroupNotes)
 {
     // The matrix encoders tally their group notes (bfp::GroupTally) and
-    // flush them in batches; totals must equal one note per group.
-    const int m = 9, k = 70;
+    // flush them in batches; totals must equal one note per group — for
+    // A's rows, for B's column blocks (n % 16 != 0) and for a bfpGemm.
+    const int m = 9, k = 70, n = 37;
     const bfp::BfpConfig cfg{3, 16, bfp::Rounding::Nearest};
     Rng rng(17);
     std::vector<float> a = test::gaussianVector(rng, m * k, 0, 8);
+    std::vector<float> b = test::gaussianVector(rng, k * n, 0, 8);
     std::fill(a.begin(), a.begin() + k, 0.0f); // all-zero groups too
+    for (int t = 0; t < k; ++t)
+        b[t * n + 3] = -0.0f;
     struct Totals
     {
         uint64_t groups, clipped, count, sum;
@@ -396,7 +400,7 @@ TEST(FidelityHealth, PackedEncodeNotesMatchPerGroupNotes)
                       h.count, static_cast<uint64_t>(h.sum)};
     };
 
-    Totals per_group{};
+    Totals rows_only{}, both{};
     {
         FidelityGuard guard;
         for (int r = 0; r < m; ++r)
@@ -405,22 +409,42 @@ TEST(FidelityHealth, PackedEncodeNotesMatchPerGroupNotes)
                     std::span<const float>(&a[r * k + c],
                                            std::min(cfg.g, k - c)),
                     cfg);
-        per_group = totals();
+        rows_only = totals();
+        std::vector<float> group;
+        for (int j = 0; j < n; ++j)
+            for (int c = 0; c < k; c += cfg.g) {
+                group.clear();
+                for (int t = c; t < std::min(k, c + cfg.g); ++t)
+                    group.push_back(b[t * n + j]);
+                bfp::encodeBlock(group, cfg);
+            }
+        both = totals();
+    }
+    EXPECT_EQ(rows_only.groups, 45u);
+    EXPECT_EQ(both.groups, 45u + 37u * 5u);
+    EXPECT_GT(rows_only.clipped, 0u);
+    EXPECT_GT(both.clipped, rows_only.clipped);
+    {
+        FidelityGuard guard;
+        Workspace ws;
+        Workspace::Scope scope(ws);
+        bfp::encodeRowsPacked(a, m, k, cfg, ws);
+        EXPECT_EQ(totals(), rows_only);
+        bfp::encodeColsPacked(b, k, n, cfg, ws);
+        EXPECT_EQ(totals(), both);
     }
     FidelityGuard guard;
-    Workspace ws;
-    Workspace::Scope scope(ws);
-    bfp::encodeRowsPacked(a, m, k, cfg, ws);
-    EXPECT_EQ(totals(), per_group);
-    EXPECT_EQ(per_group.groups, 45u);
-    EXPECT_GT(per_group.clipped, 0u);
+    bfp::BfpGemmOptions opts;
+    opts.config = cfg;
+    test::bfpGemm(a, b, m, k, n, opts);
+    EXPECT_EQ(totals(), both);
 
     // noteBfpGroups(e, n, c) is n single notes of e carrying c clips.
     fid::noteBfpGroups(5, 3, 4);
-    EXPECT_EQ(counterValue("fidelity.bfp.groups"), 48u);
+    EXPECT_EQ(counterValue("fidelity.bfp.groups"), both.groups + 3);
     EXPECT_EQ(counterValue("fidelity.bfp.clipped_mantissas"),
-              per_group.clipped + 4);
-    EXPECT_EQ(totals().sum, per_group.sum + 3 * 133u);
+              both.clipped + 4);
+    EXPECT_EQ(totals().sum, both.sum + 3 * 133u);
 }
 
 // ---------------------------------------------------------------------------

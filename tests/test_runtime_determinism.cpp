@@ -56,7 +56,7 @@ TEST_F(RuntimeDeterminism, BfpRnsGemmIsThreadCountInvariant)
     auto [serial, parallel] = atThreadCounts([&] {
         bfp::BfpGemmOptions opts;
         opts.moduli = mirage::test::paperModuli();
-        return bfp::bfpGemm(a, b, m, k, n, opts);
+        return mirage::test::bfpGemm(a, b, m, k, n, opts);
     });
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i)
@@ -77,7 +77,7 @@ TEST_F(RuntimeDeterminism, StochasticRoundingGemmIsThreadCountInvariant)
         bfp::BfpGemmOptions opts;
         opts.config = bfp::BfpConfig{4, 16, bfp::Rounding::Stochastic};
         opts.rng = &gemm_rng;
-        return bfp::bfpGemm(a, b, m, k, n, opts);
+        return mirage::test::bfpGemm(a, b, m, k, n, opts);
     });
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i)

@@ -166,7 +166,7 @@ TEST_F(SimdTest, Fp32PanelKernelMatchesScalarReferenceBitExact)
 TEST_F(SimdTest, IntegerPanelKernelsMatchScalarReference)
 {
     for (int kd : {0, 1, 5, 33}) {
-        for (int jt : {1, 4, 8, 13, 24}) {
+        for (int jt : {1, 4, 8, 13, 16, 24, 40}) {
             const int64_t lda = kd + 1, ldb = jt + 2;
             auto ai = ints(static_cast<size_t>(4) * lda, -2000, 2000);
             const auto bi =
@@ -181,6 +181,18 @@ TEST_F(SimdTest, IntegerPanelKernelsMatchScalarReference)
             simd::scalar::gemmPanel4I32I64(ai.data(), lda, bi.data(), ldb, kd,
                                            acc_ref.data(), jt);
             EXPECT_EQ(acc_vec, acc_ref) << "kd=" << kd << " jt=" << jt;
+
+            // |sums| < 33 * 2000^2 fit the int32 panel.
+            std::vector<int32_t> iacc_vec(static_cast<size_t>(4) * jt, 11);
+            auto iacc_ref = iacc_vec;
+            simd::gemmPanel4I32I32(ai.data(), lda, bi.data(), ldb, kd,
+                                   iacc_vec.data(), jt);
+            simd::scalar::gemmPanel4I32I32(ai.data(), lda, bi.data(), ldb, kd,
+                                           iacc_ref.data(), jt);
+            EXPECT_EQ(iacc_vec, iacc_ref) << "kd=" << kd << " jt=" << jt;
+            EXPECT_EQ(std::vector<int64_t>(iacc_ref.begin(), iacc_ref.end()),
+                      acc_ref)
+                << "kd=" << kd << " jt=" << jt;
 
             const auto au =
                 residues(static_cast<size_t>(4) * lda, (1u << 21) - 9);

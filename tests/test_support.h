@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "bfp/bfp_gemm.h"
 #include "common/rng.h"
 #include "nn/layer.h"
 #include "rns/moduli_set.h"
@@ -176,6 +177,16 @@ referenceGemm(const std::vector<T> &a, const std::vector<T> &b, int64_t m,
             }
         }
     }
+    return c;
+}
+
+/** bfp::bfpGemm (span form) into a freshly allocated m x n result. */
+inline std::vector<float>
+bfpGemm(const std::vector<float> &a, const std::vector<float> &b, int m,
+        int k, int n, const bfp::BfpGemmOptions &opts)
+{
+    std::vector<float> c(static_cast<size_t>(m) * n);
+    bfp::bfpGemm(a, b, c, m, k, n, opts);
     return c;
 }
 
