@@ -6,15 +6,16 @@
  * Shared helpers for the table/figure reproduction harnesses: flag parsing
  * (--full for paper-scale sweeps, --csv for machine-readable output,
  * --json <path> for perf-trajectory files, --trace/--metrics for
- * observability exports), a banner that states which paper artifact a
- * binary regenerates, and a JSON report writer so BENCH_* results can
- * accumulate across commits.
+ * observability exports; unknown flags exit 2 with the usage), a banner
+ * that states which paper artifact a binary regenerates, and a JSON report
+ * writer so BENCH_* results can accumulate across commits.
  */
 
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -44,55 +45,92 @@ struct BenchOptions
     /// report (obs::fidelity::writeReportFile) at the end.
     std::string fidelity_report_path;
 
+    /**
+     * A bench-specific flag. parse() accepts it (and skips its value) so
+     * that the bench's own pass over argv can read it; every other
+     * unknown flag is an error.
+     */
+    struct ExtraFlag
+    {
+        const char *name; ///< e.g. "--request-log"
+        const char *arg;  ///< value placeholder, or nullptr for a switch
+        const char *help; ///< one line for --help
+    };
+
+    static void
+    usage(std::ostream &os, const char *argv0,
+          std::initializer_list<ExtraFlag> extra)
+    {
+        os << "usage: " << argv0
+           << " [--full] [--csv] [--json <path>] [--trace <path>]"
+              " [--metrics <path>] [--fidelity-report <path>]";
+        for (const ExtraFlag &f : extra)
+            os << " [" << f.name << (f.arg ? " " : "") << (f.arg ? f.arg : "")
+               << "]";
+        os << "\n"
+              "  --full           paper-scale sweep (slower)\n"
+              "  --csv            machine-readable output\n"
+              "  --json <path>    write results as JSON\n"
+              "  --trace <path>   record spans, export a Chrome trace JSON\n"
+              "  --metrics <path> dump the metrics registry as JSON\n"
+              "  --fidelity-report <path> dump the numerical-fidelity "
+              "report as JSON\n";
+        for (const ExtraFlag &f : extra)
+            os << "  " << f.name << (f.arg ? " " : "") << (f.arg ? f.arg : "")
+               << "  " << f.help << "\n";
+    }
+
+    /**
+     * Parses the shared flags plus the bench's `extra` ones. --help prints
+     * the usage and exits 0; an unknown flag or a missing value prints it
+     * to stderr and exits 2, so a typo never runs a default sweep.
+     */
     static BenchOptions
-    parse(int argc, char **argv)
+    parse(int argc, char **argv, std::initializer_list<ExtraFlag> extra = {})
     {
         BenchOptions opts;
+        const std::pair<const char *, std::string *> path_flags[] = {
+            {"--json", &opts.json_path},
+            {"--trace", &opts.trace_path},
+            {"--metrics", &opts.metrics_path},
+            {"--fidelity-report", &opts.fidelity_report_path}};
+        const auto fail = [&](const std::string &why) {
+            std::cerr << argv[0] << ": " << why << "\n";
+            usage(std::cerr, argv[0], extra);
+            std::exit(2);
+        };
         for (int i = 1; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--full") == 0)
+            const std::string flag = argv[i];
+            if (flag == "--full") {
                 opts.full = true;
-            else if (std::strcmp(argv[i], "--csv") == 0)
+                continue;
+            }
+            if (flag == "--csv") {
                 opts.csv = true;
-            else if (std::strcmp(argv[i], "--json") == 0) {
-                if (i + 1 >= argc) {
-                    std::cerr << "--json needs a file path\n";
-                    std::exit(2);
-                }
-                opts.json_path = argv[++i];
-            } else if (std::strcmp(argv[i], "--trace") == 0) {
-                if (i + 1 >= argc) {
-                    std::cerr << "--trace needs a file path\n";
-                    std::exit(2);
-                }
-                opts.trace_path = argv[++i];
-            } else if (std::strcmp(argv[i], "--metrics") == 0) {
-                if (i + 1 >= argc) {
-                    std::cerr << "--metrics needs a file path\n";
-                    std::exit(2);
-                }
-                opts.metrics_path = argv[++i];
-            } else if (std::strcmp(argv[i], "--fidelity-report") == 0) {
-                if (i + 1 >= argc) {
-                    std::cerr << "--fidelity-report needs a file path\n";
-                    std::exit(2);
-                }
-                opts.fidelity_report_path = argv[++i];
-            } else if (std::strcmp(argv[i], "--help") == 0) {
-                std::cout << "usage: " << argv[0]
-                          << " [--full] [--csv] [--json <path>]"
-                             " [--trace <path>] [--metrics <path>]"
-                             " [--fidelity-report <path>]\n"
-                             "  --full           paper-scale sweep (slower)\n"
-                             "  --csv            machine-readable output\n"
-                             "  --json <path>    write results as JSON\n"
-                             "  --trace <path>   record spans, export a "
-                             "Chrome trace JSON\n"
-                             "  --metrics <path> dump the metrics registry "
-                             "as JSON\n"
-                             "  --fidelity-report <path> dump the "
-                             "numerical-fidelity report as JSON\n";
+                continue;
+            }
+            if (flag == "--help") {
+                usage(std::cout, argv[0], extra);
                 std::exit(0);
             }
+            bool known = false;
+            for (const auto &[name, path] : path_flags) {
+                if (flag != name)
+                    continue;
+                if (i + 1 >= argc)
+                    fail(flag + " needs a file path");
+                *path = argv[++i];
+                known = true;
+            }
+            for (const ExtraFlag &f : extra) {
+                if (known || flag != f.name)
+                    continue;
+                if (f.arg != nullptr && ++i >= argc)
+                    fail(flag + " needs " + f.arg);
+                known = true;
+            }
+            if (!known)
+                fail("unknown flag '" + flag + "'");
         }
         // Arm tracing up front so the whole run is captured, and bring up
         // the live scrape endpoint when MIRAGE_METRICS_PORT is set (no-op

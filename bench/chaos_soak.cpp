@@ -332,10 +332,12 @@ replicaKillElasticResume(const nn::Dataset &data)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
-
     // --request-log <path>: JSONL of serve-phase completion records, in
     // the same format serve_soak emits (check_requests.py validates it).
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv,
+        {{"--request-log", "<path>",
+          "JSONL of serve-phase completion records"}});
     std::string request_log_path;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--request-log") == 0 && i + 1 < argc)

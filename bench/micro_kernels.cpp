@@ -74,18 +74,20 @@ BM_ModularGemm(benchmark::State &state)
 }
 BENCHMARK(BM_ModularGemm)->Arg(32)->Arg(64)->Arg(256);
 
-/// A train_resnet im2col operand: K = 72 (8 channels x 3x3) by N = 4096.
+/// A train_resnet im2col operand: K = 72 (8 channels x 3x3) by N = 4096;
+/// the stem's is K = 9 (1 channel x 3x3).
 constexpr int kEncodeK = 72;
+constexpr int kStemK = 9;
 constexpr int kEncodeN = 4096;
 
 void
-BM_BfpEncode(benchmark::State &state, bool columns)
+BM_BfpEncode(benchmark::State &state, bool columns, int k)
 {
     // The packed encoders the GEMMs run, with training's Nearest rounding:
-    // the 72 x 4096 operand's columns (B's side), or the same buffer read
-    // as 72 rows of 4096 (A's side).
+    // the k x 4096 operand's columns (B's side), or the same buffer read
+    // as k rows of 4096 (A's side).
     Rng rng(4);
-    std::vector<float> values(static_cast<size_t>(kEncodeK) * kEncodeN);
+    std::vector<float> values(static_cast<size_t>(k) * kEncodeN);
     for (auto &v : values)
         v = static_cast<float>(rng.gaussian());
     const bfp::BfpConfig cfg{4, 16, bfp::Rounding::Nearest};
@@ -93,16 +95,17 @@ BM_BfpEncode(benchmark::State &state, bool columns)
     for (auto _ : state) {
         Workspace::Scope scope(ws);
         const bfp::BfpPackedMatrix enc =
-            columns ? bfp::encodeColsPacked(values, kEncodeK, kEncodeN, cfg, ws)
-                    : bfp::encodeRowsPacked(values, kEncodeK, kEncodeN, cfg,
-                                            ws);
+            columns ? bfp::encodeColsPacked(values, k, kEncodeN, cfg, ws)
+                    : bfp::encodeRowsPacked(values, k, kEncodeN, cfg, ws);
         benchmark::DoNotOptimize(enc.mantissas.data());
         benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * kEncodeK * kEncodeN);
+    state.SetItemsProcessed(state.iterations() * k * kEncodeN);
 }
-BENCHMARK_CAPTURE(BM_BfpEncode, rows, false);
-BENCHMARK_CAPTURE(BM_BfpEncode, cols, true);
+BENCHMARK_CAPTURE(BM_BfpEncode, rows, false, kEncodeK);
+BENCHMARK_CAPTURE(BM_BfpEncode, cols, true, kEncodeK);
+// The stem's short operand: one ragged 9-row chunk per column.
+BENCHMARK_CAPTURE(BM_BfpEncode, cols_short, true, kStemK);
 
 void
 BM_BfpRnsGemm(benchmark::State &state, int m, int k, int n,

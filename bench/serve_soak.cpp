@@ -185,20 +185,23 @@ ms(double seconds, int decimals = 2)
 int
 main(int argc, char **argv)
 {
-    const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
-
-    // Soak-specific flags (BenchOptions::parse ignores unknown flags):
-    //   --request-log <path>   JSONL of per-request completion records
-    //   --inject-miss-burst    extra scenario with impossible deadlines
-    //                          (drives the deadline-burn alert path)
-    //   --hold <seconds>       keep the process alive at the end so a CI
-    //                          scraper can curl the metrics endpoint
-    //   --inject-tile-fail N@T (repeatable) extra failover scenario that
-    //                          fails tile N once the arrival-schedule
-    //                          clock passes T seconds
-    //   --inject-noise-drift   extra scenario feeding a seeded degrading
-    //                          SNR series into the fidelity drift detector
-    //                          (drives the fidelity_drift alert path)
+    const bench::BenchOptions opts = bench::BenchOptions::parse(
+        argc, argv,
+        {{"--request-log", "<path>",
+          "JSONL of per-request completion records"},
+         {"--inject-miss-burst", nullptr,
+          "extra scenario with impossible deadlines (drives the "
+          "deadline-burn alert path)"},
+         {"--hold", "<seconds>",
+          "keep the process alive at the end so a scraper can curl the "
+          "metrics endpoint"},
+         {"--inject-tile-fail", "<N@T>",
+          "(repeatable) extra failover scenario that fails tile N once the "
+          "arrival-schedule clock passes T seconds"},
+         {"--inject-noise-drift", nullptr,
+          "extra scenario feeding a seeded degrading SNR series into the "
+          "fidelity drift detector (drives the fidelity_drift alert "
+          "path)"}});
     std::string request_log_path;
     bool inject_miss_burst = false;
     bool inject_noise_drift = false;

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "common/simd.h"
 #include "obs/fidelity.h"
 
 namespace mirage {
@@ -47,28 +48,13 @@ BfpBlock::decode(size_t i, int bm) const
 
 namespace {
 
-/** std::floor for |x| < 2^31, without the libm call. Trunc-and-compare
- *  written as a select, which GCC vectorizes (a bool-to-int subtract it
- *  does not). */
-inline int32_t
-floorInt(double x)
-{
-    const int32_t t = static_cast<int32_t>(x); // toward zero
-    return t > x ? t - 1 : t;
-}
-
-/** |v| as its IEEE bit pattern: orders like |v|, non-finite values last. */
-inline uint32_t
-magnitudeBits(float v)
-{
-    return std::bit_cast<uint32_t>(v) & 0x7fffffffu;
-}
-
 /**
  * Shared exponent of a group whose largest magnitude has bit pattern
- * `max_bits`: the frexp exponent of that element, so |v| < 2^shared for
- * every v in the group (subnormals carry no implicit bit). An all-zero
- * group gets 0; a non-finite value is fatal.
+ * `max_bits` (|v| as IEEE bits, which order like |v| with non-finite
+ * values last; see simd::maxMagnitude): the frexp exponent of that
+ * element, so |v| < 2^shared for every v in the group (subnormals carry
+ * no implicit bit). An all-zero group gets 0; a non-finite value is
+ * fatal.
  */
 int
 sharedExponent(uint32_t max_bits)
@@ -82,59 +68,53 @@ sharedExponent(uint32_t max_bits)
                        : static_cast<int>(std::bit_width(max_bits)) - 149;
 }
 
-template <Rounding R>
-using Mode = std::integral_constant<Rounding, R>;
-
-/** Calls f(Mode<r>{}), so each rounding gets its own quantize loop. */
-template <typename F>
-void
-withRounding(Rounding r, F &&f)
+/**
+ * Stochastic rounding of one element: floor(v * scale) plus one with
+ * probability equal to the fraction, one draw from `rng` per element, then
+ * the same clamp as simd::scalar::quantizeOne. value = q * 2^(e - bm), so
+ * scale = 2^(bm - e): with bm - e in [-127, 163] it is a normal double and
+ * the product is exact; |v * scale| < 2^bm <= 2^15, so the cast is an
+ * exact trunc. Encoders pass a null `rng` for an all-zero group, which
+ * draws nothing.
+ */
+inline int32_t
+quantizeStochastic(float v, double scale, int32_t q_max, int32_t &clipped,
+                   Rng *rng)
 {
-    switch (r) {
-      case Rounding::Truncate: f(Mode<Rounding::Truncate>{}); break;
-      case Rounding::Nearest: f(Mode<Rounding::Nearest>{}); break;
-      case Rounding::Stochastic: f(Mode<Rounding::Stochastic>{}); break;
-    }
+    const double x = static_cast<double>(v) * scale;
+    const int32_t t = static_cast<int32_t>(x); // toward zero
+    int32_t q = t > x ? t - 1 : t;
+    if (rng != nullptr)
+        q += rng->uniformReal() < x - q ? 1 : 0;
+    else // only an all-zero group may encode without draws
+        MIRAGE_ASSERT(x == 0.0, "stochastic rounding needs an Rng");
+    clipped += (q > q_max) + (q < -q_max - 1);
+    return std::clamp(q, -q_max - 1, q_max);
 }
 
 /**
- * The quantize core of every encoder: q = clip(round(v * scale)) into the
- * (bm+1)-bit two's-complement range [-q_max - 1, q_max], counting clips.
- * value = q * 2^(e - bm), so scale = 2^(bm - e): with bm - e in
- * [-127, 163] it is a normal double and the product is exact, as std::ldexp
- * would be. |v * scale| < 2^bm <= 2^15, so the integer casts are exact
- * floor/trunc. Nearest and Truncate are branch-free (gradient signs are
- * random, so a sign branch mispredicts); Stochastic draws once from `rng`
- * per element; encoders pass a null `rng` for an all-zero group, which
- * draws nothing.
+ * One group of `len` <= g values: writes their mantissas to q and returns
+ * the shared exponent, counting clamps in `clipped`. Nearest and Truncate
+ * run the simd quantize core; Stochastic draws from `rng` in element
+ * order (nothing for an all-zero group).
  */
-template <Rounding R>
-inline int32_t
-quantize(Mode<R>, float v, double scale, int32_t q_max, int &clipped,
-         Rng *rng)
+int
+encodeGroup(const float *v, int len, const BfpConfig &cfg, int32_t *q,
+            Rng *rng, int32_t &clipped)
 {
-    const double x = static_cast<double>(v) * scale;
-    int32_t q;
-    if constexpr (R == Rounding::Nearest) {
-        // Half away from zero: round |x|, then restore the sign. For every
-        // x, including -0 and ties, this is floor(x + 0.5) / ceil(x - 0.5).
-        const int32_t t = static_cast<int32_t>(std::fabs(x) + 0.5);
-        q = x < 0.0 ? -t : t;
-    } else if constexpr (R == Rounding::Truncate) {
-        // Hardware truncation drops LSBs of the two's-complement mantissa,
-        // which rounds toward -inf (floor) — not toward zero. Toward-zero
-        // truncation would systematically shrink gradient magnitudes and
-        // stall training.
-        q = floorInt(x);
-    } else {
-        q = floorInt(x);
-        if (rng != nullptr)
-            q += rng->uniformReal() < x - q ? 1 : 0;
-        else // only an all-zero group may encode without draws
-            MIRAGE_ASSERT(x == 0.0, "stochastic rounding needs an Rng");
+    const uint32_t max_bits = simd::maxMagnitude(v, len);
+    const int shared = sharedExponent(max_bits);
+    const int32_t q_max = (1 << cfg.bm) - 1;
+    if (cfg.rounding != Rounding::Stochastic) {
+        clipped += simd::quantizeRow(v, len, cfg.bm - shared, q_max,
+                                     cfg.rounding == Rounding::Nearest, q);
+        return shared;
     }
-    clipped += (q > q_max) + (q < -q_max - 1);
-    return std::clamp(q, -q_max - 1, q_max);
+    const double scale = pow2d(cfg.bm - shared);
+    Rng *draws = max_bits != 0 ? rng : nullptr;
+    for (int i = 0; i < len; ++i)
+        q[i] = quantizeStochastic(v[i], scale, q_max, clipped, draws);
+    return shared;
 }
 
 } // namespace
@@ -173,25 +153,28 @@ encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
                   "group larger than configured size");
     MIRAGE_ASSERT(mantissas.size() >= values.size(),
                   "mantissa buffer too small");
-
-    uint32_t max_bits = 0;
-    for (float v : values)
-        max_bits = std::max(max_bits, magnitudeBits(v));
-    const int shared = sharedExponent(max_bits);
-    const double scale = pow2d(cfg.bm - shared);
-    const int32_t q_max = (1 << cfg.bm) - 1;
-    Rng *draws = max_bits != 0 ? rng : nullptr;
-    int clipped = 0;
-    withRounding(cfg.rounding, [&](auto mode) {
-        for (size_t i = 0; i < values.size(); ++i)
-            mantissas[i] =
-                quantize(mode, values[i], scale, q_max, clipped, draws);
-    });
+    int32_t clipped = 0;
+    const int shared =
+        encodeGroup(values.data(), static_cast<int>(values.size()), cfg,
+                    mantissas.data(), rng, clipped);
     if (tally)
         tally->add(shared, clipped);
     else
         obs::fidelity::noteBfpGroup(shared, clipped);
     return shared;
+}
+
+void
+encodeRow(const float *row, int k_depth, const BfpConfig &cfg, int32_t *mant,
+          int32_t *exps, Rng *rng, GroupTally &tally)
+{
+    cfg.validate();
+    for (int c = 0, start = 0; start < k_depth; ++c, start += cfg.g) {
+        int32_t clipped = 0;
+        exps[c] = encodeGroup(row + start, std::min(cfg.g, k_depth - start),
+                              cfg, mant + start, rng, clipped);
+        tally.add(exps[c], clipped);
+    }
 }
 
 void
@@ -202,6 +185,7 @@ encodeColumnBlock(const float *b, int64_t ldb, int k_depth, int cols,
 {
     cfg.validate();
     MIRAGE_ASSERT(cols >= 1 && cols <= kColumnBlock, "bad column block");
+    const bool stochastic = cfg.rounding == Rounding::Stochastic;
     const int32_t q_max = (1 << cfg.bm) - 1;
     for (int start = 0; start < k_depth; start += cfg.g) {
         const int len = std::min(cfg.g, k_depth - start);
@@ -209,26 +193,32 @@ encodeColumnBlock(const float *b, int64_t ldb, int k_depth, int cols,
         int32_t *dst = mant + start * ldm;
         int32_t *exp = exps + (start / cfg.g) * lde;
         uint32_t max_bits[kColumnBlock] = {};
-        for (int t = 0; t < len; ++t)
-            for (int j = 0; j < cols; ++j)
-                max_bits[j] =
-                    std::max(max_bits[j], magnitudeBits(src[t * ldb + j]));
-        double scale[kColumnBlock];
-        Rng *draws[kColumnBlock];
-        int clipped[kColumnBlock] = {};
+        simd::maxMagnitudeCols(src, ldb, len, cols, max_bits);
+        int32_t shift[kColumnBlock] = {};
+        int32_t clipped[kColumnBlock] = {};
         for (int j = 0; j < cols; ++j) {
             exp[j] = sharedExponent(max_bits[j]);
-            scale[j] = pow2d(cfg.bm - exp[j]);
-            draws[j] = max_bits[j] != 0 ? rngs[j] : nullptr;
+            shift[j] = cfg.bm - exp[j];
         }
-        // Row segment by row segment: column j still draws in t order.
-        withRounding(cfg.rounding, [&](auto mode) {
+        if (!stochastic) {
+            simd::quantizeCols(src, ldb, len, cols, shift, q_max,
+                               cfg.rounding == Rounding::Nearest, dst, ldm,
+                               clipped);
+        } else {
+            double scale[kColumnBlock];
+            Rng *draws[kColumnBlock];
+            for (int j = 0; j < cols; ++j) {
+                scale[j] = pow2d(shift[j]);
+                draws[j] =
+                    max_bits[j] != 0 && rngs != nullptr ? rngs[j] : nullptr;
+            }
+            // Row segment by row segment: column j still draws in t order.
             for (int t = 0; t < len; ++t)
                 for (int j = 0; j < cols; ++j)
-                    dst[t * ldm + j] = quantize(mode, src[t * ldb + j],
-                                                scale[j], q_max, clipped[j],
-                                                draws[j]);
-        });
+                    dst[t * ldm + j] =
+                        quantizeStochastic(src[t * ldb + j], scale[j], q_max,
+                                           clipped[j], draws[j]);
+        }
         for (int j = 0; j < cols; ++j)
             tally.add(exp[j], clipped[j]);
     }

@@ -108,6 +108,16 @@ int encodeGroupInto(std::span<const float> values, const BfpConfig &cfg,
                     std::span<int32_t> mantissas, Rng *rng = nullptr,
                     GroupTally *tally = nullptr);
 
+/**
+ * Row twin of encodeGroupInto (same quantize core, same bits): encodes
+ * the ceil(k_depth / g) groups of one k_depth-long row in one call.
+ * Chunk c's mantissas go to mant[c * g ...] (its real length; the caller
+ * owns any padding) and its shared exponent to exps[c]. `rng` is the
+ * row's rounding stream (null unless stochastic), drawn chunk by chunk.
+ */
+void encodeRow(const float *row, int k_depth, const BfpConfig &cfg,
+               int32_t *mant, int32_t *exps, Rng *rng, GroupTally &tally);
+
 /** Columns per encodeColumnBlock call: one 64-byte line of floats. */
 inline constexpr int kColumnBlock = 16;
 
@@ -118,8 +128,9 @@ inline constexpr int kColumnBlock = 16;
  * a max pass and then a quantize pass read the g row segments of the block
  * contiguously; mantissa (t, j) goes to mant[t * ldm + j] (rows past
  * k_depth are not written) and chunk c's exponent of column j to
- * exps[c * lde + j]. rngs[j] is column j's rounding stream (null unless
- * stochastic): its draws run in (chunk, t) order, as encodeGroupInto's.
+ * exps[c * lde + j]. Under stochastic rounding rngs[j] is column j's
+ * stream, drawn in (chunk, t) order as encodeGroupInto's; other roundings
+ * never read `rngs`, which may be null.
  */
 void encodeColumnBlock(const float *b, int64_t ldb, int k_depth, int cols,
                        const BfpConfig &cfg, int32_t *mant, int64_t ldm,

@@ -17,12 +17,16 @@ namespace bfp {
 
 namespace {
 
-/// Rows per parallelFor block (column encodes take one kColumnBlock block
-/// per step). Fixed (never derived from the thread count) so the block
-/// decomposition — and with it every per-row Rng substream — is identical
-/// at every thread count. (Rng substreams are per-row, so the
-/// runtime::serialBelow small-workload collapse never changes results.)
+/// Rows per parallelFor block (column encodes take enough kColumnBlock
+/// blocks per step to cover kEncodeTaskWork elements). Fixed (never
+/// derived from the thread count) so the block decomposition — and with
+/// it every per-row Rng substream — is identical at every thread count.
+/// (Rng substreams are per-row, so the runtime::serialBelow small-workload
+/// collapse never changes results.)
 constexpr int64_t kEncodeGrain = 8;
+/// Elements per column-encode step: each step zeroes and flushes one
+/// GroupTally, which a single 16 x 72 block would not amortize.
+constexpr int64_t kEncodeTaskWork = 8192;
 constexpr int64_t kComputeGrain = 4;
 /// Serial-below cutoffs. Encoding costs tens of cycles per element and the
 /// compute loop a few per MAC; below these counts the work finishes faster
@@ -42,7 +46,8 @@ constexpr int kColTile = 64;
 /**
  * Stochastic rounding draws from a per-row (per-column) substream split
  * off one base value drawn from the caller's rng, so encoding is
- * bit-identical at every thread count; other modes never consume rng.
+ * bit-identical at every thread count; other modes never consume rng and
+ * build no substreams.
  */
 struct RoundingStreams
 {
@@ -55,11 +60,9 @@ struct RoundingStreams
     {
     }
 
-    std::optional<Rng>
+    Rng
     stream(int64_t line) const
     {
-        if (!stochastic)
-            return std::nullopt;
         return Rng::stream(base, static_cast<uint64_t>(line));
     }
 };
@@ -75,6 +78,26 @@ struct KMajorCols
     std::span<int32_t> exps;
 };
 
+/**
+ * Encodes columns j0 .. j0 + cols - 1 with stochastic rounding, column j
+ * drawing from its own substream. Out of line so that the other roundings
+ * never stage kColumnBlock generators (~40 KB of state) per block.
+ */
+[[gnu::noinline]] void
+encodeStochasticColumnBlock(std::span<const float> b, int k_depth, int n_cols,
+                            int j0, int cols, const BfpConfig &cfg,
+                            const RoundingStreams &streams,
+                            const KMajorCols &out, GroupTally &tally)
+{
+    std::optional<Rng> col_rng[kColumnBlock];
+    Rng *rngs[kColumnBlock] = {};
+    for (int j = 0; j < cols; ++j)
+        rngs[j] = &col_rng[j].emplace(streams.stream(j0 + j));
+    encodeColumnBlock(b.data() + j0, n_cols, k_depth, cols, cfg,
+                      out.mant.data() + j0, n_cols, out.exps.data() + j0,
+                      n_cols, rngs, tally);
+}
+
 /** Encodes B (KxN, row-major) kColumnBlock columns at a time; column j
  *  draws from its own rounding substream, chunks in ascending order. */
 KMajorCols
@@ -89,24 +112,26 @@ encodeColsKMajor(std::span<const float> b, int k_depth, int n_cols,
                           n_cols)};
     const RoundingStreams streams(cfg, rng);
     const int64_t blocks = ceilDiv(n_cols, kColumnBlock);
+    const int64_t grain = std::max<int64_t>(
+        1, kEncodeTaskWork / (static_cast<int64_t>(k_depth) * kColumnBlock));
     runtime::parallelFor(
         blocks,
-        runtime::serialBelow(blocks, 1, static_cast<int64_t>(k_depth) * n_cols,
+        runtime::serialBelow(blocks, grain,
+                             static_cast<int64_t>(k_depth) * n_cols,
                              kMinEncodeWork),
         [&](int64_t b0, int64_t b1) {
             GroupTally tally;
             for (int64_t blk = b0; blk < b1; ++blk) {
                 const int j0 = static_cast<int>(blk) * kColumnBlock;
                 const int cols = std::min(kColumnBlock, n_cols - j0);
-                std::optional<Rng> col_rng[kColumnBlock];
-                Rng *rngs[kColumnBlock] = {};
-                for (int j = 0; j < cols; ++j) {
-                    col_rng[j] = streams.stream(j0 + j);
-                    rngs[j] = col_rng[j] ? &*col_rng[j] : nullptr;
-                }
-                encodeColumnBlock(b.data() + j0, n_cols, k_depth, cols, cfg,
-                                  out.mant.data() + j0, n_cols,
-                                  out.exps.data() + j0, n_cols, rngs, tally);
+                if (streams.stochastic)
+                    encodeStochasticColumnBlock(b, k_depth, n_cols, j0, cols,
+                                                cfg, streams, out, tally);
+                else
+                    encodeColumnBlock(b.data() + j0, n_cols, k_depth, cols,
+                                      cfg, out.mant.data() + j0, n_cols,
+                                      out.exps.data() + j0, n_cols, nullptr,
+                                      tally);
             }
         });
     return out;
@@ -247,20 +272,16 @@ encodeRowsPacked(std::span<const float> a, int m_rows, int k_depth,
         [&](int64_t r0, int64_t r1) {
             GroupTally tally;
             for (int64_t i = r0; i < r1; ++i) {
-                std::optional<Rng> row_rng = streams.stream(i);
-                for (int c = 0; c < out.chunk_count; ++c) {
-                    const int start = c * cfg.g;
-                    const int len = std::min(cfg.g, k_depth - start);
-                    const size_t blk =
-                        static_cast<size_t>(i) * out.chunk_count + c;
-                    out.exponents[blk] = encodeGroupInto(
-                        a.subspan(static_cast<size_t>(i) * k_depth + start,
-                                  static_cast<size_t>(len)),
-                        cfg,
-                        out.mantissas.subspan(blk * cfg.g,
-                                              static_cast<size_t>(len)),
-                        row_rng ? &*row_rng : nullptr, &tally);
+                const float *row = a.data() + i * k_depth;
+                const size_t line = static_cast<size_t>(i) * out.chunk_count;
+                int32_t *mant = out.mantissas.data() + line * cfg.g;
+                int32_t *exps = out.exponents.data() + line;
+                if (!streams.stochastic) {
+                    encodeRow(row, k_depth, cfg, mant, exps, nullptr, tally);
+                    continue;
                 }
+                Rng row_rng = streams.stream(i);
+                encodeRow(row, k_depth, cfg, mant, exps, &row_rng, tally);
             }
         });
     return out;

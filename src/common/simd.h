@@ -17,6 +17,11 @@
  *   compiled with target("avx2") only, so the compiler cannot fuse), and
  *   each output element's accumulation chain is untouched: lanes map to
  *   distinct output columns, never to partial sums of one element.
+ * - The BFP quantize core (quantizeRow/quantizeCols) rounds exact
+ *   products. The AVX2 body multiplies in float only by a normal float
+ *   power of two, where v * 2^shift is exact (or below 2^-126, which no
+ *   rounding can tell from its double value), and rounds with exact
+ *   trunc-and-compare steps; any other shift takes the double reference.
  *
  * Bit-identity is what lets the vectorized kernels keep the determinism
  * contract of runtime::parallelFor (thread-count-invariant results) *and*
@@ -26,14 +31,20 @@
  * Dispatch: on x86-64 the AVX2 bodies are compiled as target("avx2")
  * functions and selected at runtime via __builtin_cpu_supports, so the
  * build needs no -mavx2 and the binary stays safe on pre-AVX2 hosts. On
- * aarch64 NEON is baseline. Set MIRAGE_SIMD=scalar (or 0) to force the
+ * aarch64 NEON is baseline. Set MIRAGE_SIMD=scalar (or off, 0) to force the
  * scalar reference — results are identical either way; the switch exists
  * for benchmarking the vector speedup and for debugging.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
+
+#include "common/math_util.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MIRAGE_SIMD_AVX2 1
@@ -235,6 +246,133 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
                 row[j] += ar * b_row[j];
         }
     }
+}
+
+/** dst[j * ldd + i] = src[i * lds + j] for an 8 x 8 tile. */
+inline void
+transpose8x8F32(const float *src, int64_t lds, float *dst, int64_t ldd)
+{
+    for (int i = 0; i < 8; ++i)
+        for (int j = 0; j < 8; ++j)
+            dst[j * ldd + i] = src[i * lds + j];
+}
+
+/**
+ * One element of the BFP quantize core (bfp::encode*), in double:
+ * q = clamp(round(v * scale)) into [-q_max - 1, q_max], counting a clamp
+ * in `clipped`. scale = 2^shift is a normal double, so the product is
+ * exact; the caller bounds |v * scale| < 2^31, so the casts are exact.
+ * Nearest rounds half away from zero: round |x|, then restore the sign
+ * (for every x, -0 and ties included, this is floor(x + 0.5) /
+ * ceil(x - 0.5)). Otherwise it floors, which is how hardware truncation
+ * of a two's-complement mantissa rounds — not toward zero. Both are
+ * branch-free: gradient signs are random, so a sign branch mispredicts.
+ */
+template <bool Nearest>
+inline int32_t
+quantizeOne(float v, double scale, int32_t q_max, int32_t &clipped)
+{
+    const double x = static_cast<double>(v) * scale;
+    int32_t q;
+    if constexpr (Nearest) {
+        const int32_t t = static_cast<int32_t>(std::fabs(x) + 0.5);
+        q = x < 0.0 ? -t : t;
+    } else {
+        const int32_t t = static_cast<int32_t>(x); // toward zero
+        q = t > x ? t - 1 : t;
+    }
+    clipped += (q > q_max) + (q < -q_max - 1);
+    return std::clamp(q, -q_max - 1, q_max);
+}
+
+template <bool Nearest>
+inline int32_t
+quantizeRowT(const float *v, int n, double scale, int32_t q_max, int32_t *q)
+{
+    int32_t clipped = 0;
+    for (int i = 0; i < n; ++i)
+        q[i] = quantizeOne<Nearest>(v[i], scale, q_max, clipped);
+    return clipped;
+}
+
+/**
+ * The BFP quantize core over n values that share one exponent:
+ * q[i] = quantizeOne(v[i], 2^shift) with shift in [-1022, 1023]. Returns
+ * the number of clamped elements.
+ */
+inline int32_t
+quantizeRow(const float *v, int n, int shift, int32_t q_max, bool nearest,
+            int32_t *q)
+{
+    const double scale = pow2d(shift);
+    return nearest ? quantizeRowT<true>(v, n, scale, q_max, q)
+                   : quantizeRowT<false>(v, n, scale, q_max, q);
+}
+
+template <bool Nearest>
+inline void
+quantizeColsT(const float *v, int64_t ldv, int rows, int cols,
+              const int32_t *shift, int32_t q_max, int32_t *q, int64_t ldq,
+              int32_t *clipped)
+{
+    double scale[16] = {};
+    for (int j = 0; j < cols; ++j)
+        scale[j] = pow2d(shift[j]);
+    for (int t = 0; t < rows; ++t)
+        for (int j = 0; j < cols; ++j)
+            q[t * ldq + j] = quantizeOne<Nearest>(v[t * ldv + j], scale[j],
+                                                  q_max, clipped[j]);
+}
+
+/** The max pass of a row group: the largest |v| bit pattern (sign
+ *  cleared) of v[0 .. n), 0 for n = 0. */
+inline uint32_t
+maxMagnitude(const float *v, int n)
+{
+    uint32_t m = 0;
+    for (int i = 0; i < n; ++i) {
+        uint32_t bits;
+        std::memcpy(&bits, v + i, sizeof bits);
+        m = std::max(m, bits & 0x7fffffffu);
+    }
+    return m;
+}
+
+/**
+ * The max pass of a column block: max_bits[j] = the largest |v| bit
+ * pattern (sign cleared) in column j of a rows x cols block (cols <= 16)
+ * read at v[t * ldv + j].
+ */
+inline void
+maxMagnitudeCols(const float *v, int64_t ldv, int rows, int cols,
+                 uint32_t *max_bits)
+{
+    for (int j = 0; j < cols; ++j)
+        max_bits[j] = 0;
+    for (int t = 0; t < rows; ++t)
+        for (int j = 0; j < cols; ++j) {
+            uint32_t bits;
+            std::memcpy(&bits, v + t * ldv + j, sizeof bits);
+            max_bits[j] = std::max(max_bits[j], bits & 0x7fffffffu);
+        }
+}
+
+/**
+ * Column-lane form of quantizeRow: a rows x cols block (cols <= 16) read
+ * at v[t * ldv + j], column j scaled by 2^shift[j], written to
+ * q[t * ldq + j]; column j's clamps are added to clipped[j].
+ */
+inline void
+quantizeCols(const float *v, int64_t ldv, int rows, int cols,
+             const int32_t *shift, int32_t q_max, bool nearest, int32_t *q,
+             int64_t ldq, int32_t *clipped)
+{
+    if (nearest)
+        quantizeColsT<true>(v, ldv, rows, cols, shift, q_max, q, ldq,
+                            clipped);
+    else
+        quantizeColsT<false>(v, ldv, rows, cols, shift, q_max, q, ldq,
+                             clipped);
 }
 
 } // namespace scalar
@@ -776,6 +914,206 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
     }
 }
 
+/** 8 x 8 tile transpose in registers: unpack, shuffle, lane swap. */
+__attribute__((target("avx2"))) inline void
+transpose8x8F32(const float *src, int64_t lds, float *dst, int64_t ldd)
+{
+    __m256 r[8];
+    for (int i = 0; i < 8; ++i)
+        r[i] = _mm256_loadu_ps(src + i * lds);
+    __m256 t[8];
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    __m256 u[8];
+    for (int i = 0; i < 8; i += 4) {
+        u[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        u[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        u[i + 2] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        u[i + 3] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (int j = 0; j < 4; ++j) {
+        _mm256_storeu_ps(dst + j * ldd,
+                         _mm256_permute2f128_ps(u[j], u[j + 4], 0x20));
+        _mm256_storeu_ps(dst + (j + 4) * ldd,
+                         _mm256_permute2f128_ps(u[j], u[j + 4], 0x31));
+    }
+}
+
+/**
+ * Eight lanes of scalar::quantizeOne in float. With scale a normal float
+ * power of two, x = v * scale is exact unless |x| < 2^-126, where Nearest
+ * gives 0 either way. Nearest is trunc(|x|) plus (|x| - t >= 0.5), both
+ * exact; |x| + 0.5f would round (0.5 - 2^-25 would reach 1). Floor is
+ * trunc minus one below a negative non-integer, or where a negative v's
+ * product underflowed to -0 (the double core sees a tiny negative x).
+ * `clips` counts the clamped lanes.
+ */
+template <bool Nearest>
+__attribute__((target("avx2"))) inline __m256i
+quantize8(__m256 v, __m256 scale, __m256i lo, __m256i hi, __m256i &clips)
+{
+    const __m256 x = _mm256_mul_ps(v, scale);
+    __m256i q;
+    if constexpr (Nearest) {
+        const __m256 ax = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), x);
+        const __m256i t = _mm256_cvttps_epi32(ax);
+        const __m256 up =
+            _mm256_cmp_ps(_mm256_sub_ps(ax, _mm256_cvtepi32_ps(t)),
+                          _mm256_set1_ps(0.5f), _CMP_GE_OQ);
+        const __m256i r = _mm256_sub_epi32(t, _mm256_castps_si256(up));
+        const __m256i sign = _mm256_srai_epi32(_mm256_castps_si256(x), 31);
+        q = _mm256_sub_epi32(_mm256_xor_si256(r, sign), sign);
+    } else {
+        const __m256 zero = _mm256_setzero_ps();
+        const __m256i t = _mm256_cvttps_epi32(x);
+        const __m256 below = _mm256_or_ps(
+            _mm256_cmp_ps(x, _mm256_cvtepi32_ps(t), _CMP_LT_OQ),
+            _mm256_and_ps(_mm256_cmp_ps(x, zero, _CMP_EQ_OQ),
+                          _mm256_cmp_ps(v, zero, _CMP_LT_OQ)));
+        q = _mm256_add_epi32(t, _mm256_castps_si256(below));
+    }
+    clips = _mm256_sub_epi32(clips, _mm256_cmpgt_epi32(q, hi));
+    clips = _mm256_sub_epi32(clips, _mm256_cmpgt_epi32(lo, q));
+    return _mm256_min_epi32(_mm256_max_epi32(q, lo), hi);
+}
+
+/** Float-lane scale 2^shift is a normal float. */
+inline bool
+floatScaleExact(int shift)
+{
+    return shift >= -126 && shift <= 127;
+}
+
+template <bool Nearest>
+__attribute__((target("avx2"))) inline int32_t
+quantizeRowT(const float *v, int n, int shift, int32_t q_max, int32_t *q)
+{
+    const __m256 scale = _mm256_set1_ps(pow2f(shift));
+    const __m256i hi = _mm256_set1_epi32(q_max);
+    const __m256i lo = _mm256_set1_epi32(-q_max - 1);
+    __m256i clips = _mm256_setzero_si256();
+    int i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(q + i),
+            quantize8<Nearest>(_mm256_loadu_ps(v + i), scale, lo, hi, clips));
+    alignas(32) int32_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), clips);
+    int32_t clipped = 0;
+    for (int32_t c : lanes)
+        clipped += c;
+    return clipped + scalar::quantizeRowT<Nearest>(v + i, n - i, pow2d(shift),
+                                                   q_max, q + i);
+}
+
+/** Float-lane quantizeRow; a shift outside the normal float range takes
+ *  the double core. */
+__attribute__((target("avx2"))) inline int32_t
+quantizeRow(const float *v, int n, int shift, int32_t q_max, bool nearest,
+            int32_t *q)
+{
+    if (!floatScaleExact(shift))
+        return scalar::quantizeRow(v, n, shift, q_max, nearest, q);
+    return nearest ? quantizeRowT<true>(v, n, shift, q_max, q)
+                   : quantizeRowT<false>(v, n, shift, q_max, q);
+}
+
+template <bool Nearest>
+__attribute__((target("avx2"))) inline void
+quantizeColsT(const float *v, int64_t ldv, int rows, int cols,
+              const int32_t *shift, int32_t q_max, int32_t *q, int64_t ldq,
+              int32_t *clipped)
+{
+    const __m256i hi = _mm256_set1_epi32(q_max);
+    const __m256i lo = _mm256_set1_epi32(-q_max - 1);
+    int j = 0;
+    for (; j + 8 <= cols; j += 8) {
+        // 2^shift per lane, built from the exponent field.
+        const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
+            _mm256_add_epi32(_mm256_loadu_si256(
+                                 reinterpret_cast<const __m256i *>(shift + j)),
+                             _mm256_set1_epi32(127)),
+            23));
+        __m256i clips = _mm256_setzero_si256();
+        for (int t = 0; t < rows; ++t)
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(q + t * ldq + j),
+                quantize8<Nearest>(_mm256_loadu_ps(v + t * ldv + j), scale,
+                                   lo, hi, clips));
+        __m256i *acc = reinterpret_cast<__m256i *>(clipped + j);
+        _mm256_storeu_si256(acc,
+                            _mm256_add_epi32(_mm256_loadu_si256(acc), clips));
+    }
+    if (j < cols)
+        scalar::quantizeColsT<Nearest>(v + j, ldv, rows, cols - j, shift + j,
+                                       q_max, q + j, ldq, clipped + j);
+}
+
+__attribute__((target("avx2"))) inline uint32_t
+maxMagnitude(const float *v, int n)
+{
+    const __m256i magnitude = _mm256_set1_epi32(0x7fffffff);
+    __m256i m = _mm256_setzero_si256();
+    int i = 0;
+    for (; i + 8 <= n; i += 8)
+        m = _mm256_max_epi32(
+            m, _mm256_and_si256(_mm256_loadu_si256(
+                                    reinterpret_cast<const __m256i *>(v + i)),
+                                magnitude));
+    __m128i h = _mm_max_epi32(_mm256_castsi256_si128(m),
+                              _mm256_extracti128_si256(m, 1));
+    h = _mm_max_epi32(h, _mm_shuffle_epi32(h, _MM_SHUFFLE(1, 0, 3, 2)));
+    h = _mm_max_epi32(h, _mm_shuffle_epi32(h, _MM_SHUFFLE(2, 3, 0, 1)));
+    return std::max(static_cast<uint32_t>(_mm_cvtsi128_si32(h)),
+                    scalar::maxMagnitude(v + i, n - i));
+}
+
+/** Eight columns per ymm; magnitudes are below 2^31, so a signed max. */
+__attribute__((target("avx2"))) inline void
+maxMagnitudeCols(const float *v, int64_t ldv, int rows, int cols,
+                 uint32_t *max_bits)
+{
+    const __m256i magnitude = _mm256_set1_epi32(0x7fffffff);
+    int j = 0;
+    for (; j + 8 <= cols; j += 8) {
+        __m256i m = _mm256_setzero_si256();
+        for (int t = 0; t < rows; ++t)
+            m = _mm256_max_epi32(
+                m, _mm256_and_si256(
+                       _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
+                           v + t * ldv + j)),
+                       magnitude));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(max_bits + j), m);
+    }
+    if (j < cols)
+        scalar::maxMagnitudeCols(v + j, ldv, rows, cols - j, max_bits + j);
+}
+
+/** Float-lane quantizeCols; a block with any shift outside the normal
+ *  float range takes the double core. */
+__attribute__((target("avx2"))) inline void
+quantizeCols(const float *v, int64_t ldv, int rows, int cols,
+             const int32_t *shift, int32_t q_max, bool nearest, int32_t *q,
+             int64_t ldq, int32_t *clipped)
+{
+    bool exact = true;
+    for (int j = 0; j < cols; ++j)
+        exact &= floatScaleExact(shift[j]);
+    if (!exact)
+        scalar::quantizeCols(v, ldv, rows, cols, shift, q_max, nearest, q,
+                             ldq, clipped);
+    else if (nearest)
+        quantizeColsT<true>(v, ldv, rows, cols, shift, q_max, q, ldq,
+                            clipped);
+    else
+        quantizeColsT<false>(v, ldv, rows, cols, shift, q_max, q, ldq,
+                             clipped);
+}
+
 } // namespace avx2
 
 #endif // MIRAGE_SIMD_AVX2
@@ -1014,6 +1352,41 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
     scalar::gemmPanel4U64Lo32(a, lda, b, ldb, kd, acc, jt);
 }
 
+inline void
+transpose8x8F32(const float *src, int64_t lds, float *dst, int64_t ldd)
+{
+    scalar::transpose8x8F32(src, lds, dst, ldd);
+}
+
+inline uint32_t
+maxMagnitude(const float *v, int n)
+{
+    return scalar::maxMagnitude(v, n);
+}
+
+inline void
+maxMagnitudeCols(const float *v, int64_t ldv, int rows, int cols,
+                 uint32_t *max_bits)
+{
+    scalar::maxMagnitudeCols(v, ldv, rows, cols, max_bits);
+}
+
+inline int32_t
+quantizeRow(const float *v, int n, int shift, int32_t q_max, bool nearest,
+            int32_t *q)
+{
+    return scalar::quantizeRow(v, n, shift, q_max, nearest, q);
+}
+
+inline void
+quantizeCols(const float *v, int64_t ldv, int rows, int cols,
+             const int32_t *shift, int32_t q_max, bool nearest, int32_t *q,
+             int64_t ldq, int32_t *clipped)
+{
+    scalar::quantizeCols(v, ldv, rows, cols, shift, q_max, nearest, q, ldq,
+                         clipped);
+}
+
 } // namespace neon
 
 #endif // MIRAGE_SIMD_NEON
@@ -1021,6 +1394,30 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
+
+/**
+ * Parses a MIRAGE_SIMD value: "scalar", "off" or "0" force the scalar
+ * reference (false); "auto", "on" or "1" use the vector backend where the
+ * CPU has one (true). Surrounding blanks are ignored. Anything else
+ * returns nullopt and fills *error (when non-null). Exposed for unit tests.
+ */
+inline std::optional<bool>
+parseSimdEnv(const char *value, std::string *error = nullptr)
+{
+    std::string v = value != nullptr ? value : "";
+    const size_t first = v.find_first_not_of(" \t");
+    v = first == std::string::npos
+            ? ""
+            : v.substr(first, v.find_last_not_of(" \t") - first + 1);
+    if (v == "scalar" || v == "off" || v == "0")
+        return false;
+    if (v == "auto" || v == "on" || v == "1")
+        return true;
+    if (error != nullptr)
+        *error = v.empty() ? "empty value"
+                           : "expected scalar/off/0 or auto/on/1";
+    return std::nullopt;
+}
 
 namespace detail {
 
@@ -1031,9 +1428,15 @@ vectorEnabled()
 {
     static const bool enabled = [] {
         if (const char *env = std::getenv("MIRAGE_SIMD")) {
-            if (std::strcmp(env, "0") == 0 ||
-                std::strcmp(env, "scalar") == 0 ||
-                std::strcmp(env, "off") == 0)
+            std::string error;
+            const std::optional<bool> vector = parseSimdEnv(env, &error);
+            // A typo such as MIRAGE_SIMD=scalr used to run the vector
+            // backend without a word. Be loud about it.
+            if (!vector)
+                MIRAGE_WARN("ignoring MIRAGE_SIMD=\"", env, "\" (", error,
+                            "); using the vector backend where the CPU "
+                            "has one");
+            else if (!*vector)
                 return false;
         }
 #if defined(MIRAGE_SIMD_AVX2)
@@ -1168,6 +1571,41 @@ gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
                   int64_t ldb, int kd, uint64_t *acc, int jt)
 {
     MIRAGE_SIMD_DISPATCH(gemmPanel4U64Lo32, a, lda, b, ldb, kd, acc, jt);
+}
+
+inline void
+transpose8x8F32(const float *src, int64_t lds, float *dst, int64_t ldd)
+{
+    MIRAGE_SIMD_DISPATCH(transpose8x8F32, src, lds, dst, ldd);
+}
+
+inline uint32_t
+maxMagnitude(const float *v, int n)
+{
+    MIRAGE_SIMD_DISPATCH(maxMagnitude, v, n);
+}
+
+inline void
+maxMagnitudeCols(const float *v, int64_t ldv, int rows, int cols,
+                 uint32_t *max_bits)
+{
+    MIRAGE_SIMD_DISPATCH(maxMagnitudeCols, v, ldv, rows, cols, max_bits);
+}
+
+inline int32_t
+quantizeRow(const float *v, int n, int shift, int32_t q_max, bool nearest,
+            int32_t *q)
+{
+    MIRAGE_SIMD_DISPATCH(quantizeRow, v, n, shift, q_max, nearest, q);
+}
+
+inline void
+quantizeCols(const float *v, int64_t ldv, int rows, int cols,
+             const int32_t *shift, int32_t q_max, bool nearest, int32_t *q,
+             int64_t ldq, int32_t *clipped)
+{
+    MIRAGE_SIMD_DISPATCH(quantizeCols, v, ldv, rows, cols, shift, q_max,
+                         nearest, q, ldq, clipped);
 }
 
 #undef MIRAGE_SIMD_DISPATCH

@@ -1,5 +1,6 @@
 #include "nn/layers_conv.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -13,58 +14,96 @@ namespace nn {
 namespace {
 
 /**
+ * The output positions [lo, hi) of one kernel offset `k` whose input
+ * position o * stride + k - pad lies in [0, in); positions outside read
+ * the zero padding.
+ */
+struct InRange
+{
+    int lo;
+    int hi;
+
+    InRange(int k, int stride, int pad, int in, int out)
+    {
+        const int first = k >= pad ? 0 : (pad - k + stride - 1) / stride;
+        const int last = in - 1 + pad - k; // largest o * stride in range
+        lo = std::min(first, out);
+        hi = std::max(lo, last < 0 ? 0 : std::min(last / stride + 1, out));
+    }
+};
+
+/**
  * im2col: input [C, H, W] (one sample) into columns [C*k*k, P] appended at
- * column offset `col0` of a [K, total_cols] buffer.
+ * column offset `col0` of a [K, total_cols] buffer. Works in row spans:
+ * each output row zero-fills its padding and copies its in-range span, so
+ * every element of the sample's columns is written.
  */
 void
 im2colSample(const float *x, int ch, int h, int w, int kernel, int stride,
-             int pad, int out_h, int out_w, std::vector<float> &cols,
-             int total_cols, int col0)
+             int pad, int out_h, int out_w, float *cols, int total_cols,
+             int col0)
 {
-    const int k2 = kernel * kernel;
     for (int c = 0; c < ch; ++c) {
+        const float *plane = x + static_cast<size_t>(c) * h * w;
         for (int ky = 0; ky < kernel; ++ky) {
+            const InRange ys(ky, stride, pad, h, out_h);
             for (int kx = 0; kx < kernel; ++kx) {
-                const int row = c * k2 + ky * kernel + kx;
-                for (int oy = 0; oy < out_h; ++oy) {
-                    const int iy = oy * stride + ky - pad;
-                    for (int ox = 0; ox < out_w; ++ox) {
-                        const int ix = ox * stride + kx - pad;
-                        float v = 0.0f;
-                        if (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                            v = x[(static_cast<size_t>(c) * h + iy) * w + ix];
-                        cols[static_cast<size_t>(row) * total_cols + col0 +
-                             oy * out_w + ox] = v;
-                    }
+                const InRange xs(kx, stride, pad, w, out_w);
+                const int row = (c * kernel + ky) * kernel + kx;
+                float *dst =
+                    cols + static_cast<size_t>(row) * total_cols + col0;
+                // With no in-range column, every row is padding.
+                const int y_hi = xs.lo < xs.hi ? ys.hi : ys.lo;
+                std::fill(dst, dst + ys.lo * out_w, 0.0f);
+                for (int oy = ys.lo; oy < y_hi; ++oy) {
+                    float *out = dst + oy * out_w;
+                    const float *src = plane +
+                                       (oy * stride + ky - pad) * w +
+                                       xs.lo * stride + kx - pad;
+                    std::fill(out, out + xs.lo, 0.0f);
+                    if (stride == 1)
+                        std::copy(src, src + (xs.hi - xs.lo), out + xs.lo);
+                    else
+                        for (int ox = xs.lo; ox < xs.hi; ++ox)
+                            out[ox] = src[(ox - xs.lo) * stride];
+                    std::fill(out + xs.hi, out + out_w, 0.0f);
                 }
+                std::fill(dst + y_hi * out_w, dst + out_h * out_w, 0.0f);
             }
         }
     }
 }
 
-/** col2im scatter-add: the adjoint of im2colSample. */
+/**
+ * col2im scatter-add: the adjoint of im2colSample, over the same in-range
+ * spans. Each dx element still receives its terms in (c, ky, kx) order.
+ */
 void
-col2imSample(std::span<const float> cols, int ch, int h, int w, int kernel,
-             int stride, int pad, int out_h, int out_w, float *dx,
-             int total_cols, int col0)
+col2imSample(const float *cols, int ch, int h, int w, int kernel, int stride,
+             int pad, int out_h, int out_w, float *dx, int total_cols,
+             int col0)
 {
-    const int k2 = kernel * kernel;
     for (int c = 0; c < ch; ++c) {
+        float *plane = dx + static_cast<size_t>(c) * h * w;
         for (int ky = 0; ky < kernel; ++ky) {
+            const InRange ys(ky, stride, pad, h, out_h);
             for (int kx = 0; kx < kernel; ++kx) {
-                const int row = c * k2 + ky * kernel + kx;
-                for (int oy = 0; oy < out_h; ++oy) {
-                    const int iy = oy * stride + ky - pad;
-                    if (iy < 0 || iy >= h)
-                        continue;
-                    for (int ox = 0; ox < out_w; ++ox) {
-                        const int ix = ox * stride + kx - pad;
-                        if (ix < 0 || ix >= w)
-                            continue;
-                        dx[(static_cast<size_t>(c) * h + iy) * w + ix] +=
-                            cols[static_cast<size_t>(row) * total_cols + col0 +
-                                 oy * out_w + ox];
-                    }
+                const InRange xs(kx, stride, pad, w, out_w);
+                if (xs.lo == xs.hi)
+                    continue; // every column reads padding
+                const int row = (c * kernel + ky) * kernel + kx;
+                const float *src =
+                    cols + static_cast<size_t>(row) * total_cols + col0;
+                for (int oy = ys.lo; oy < ys.hi; ++oy) {
+                    const float *in = src + oy * out_w;
+                    float *out = plane + (oy * stride + ky - pad) * w +
+                                 xs.lo * stride + kx - pad;
+                    if (stride == 1)
+                        for (int ox = xs.lo; ox < xs.hi; ++ox)
+                            out[ox - xs.lo] += in[ox];
+                    else
+                        for (int ox = xs.lo; ox < xs.hi; ++ox)
+                            out[(ox - xs.lo) * stride] += in[ox];
                 }
             }
         }
@@ -116,15 +155,16 @@ Conv2d::forward(const Tensor &x, bool /*training*/)
     const int p = out_h_ * out_w_;
     const int total_cols = cached_batch_ * p;
     // The im2col matrix is a member so (a) backward reuses it and (b) its
-    // capacity survives across steps — assign() only reallocates when the
+    // capacity survives across steps — resize() only reallocates when the
     // shape grows, so steady-state training re-fills the same buffer.
-    cached_cols_.assign(static_cast<size_t>(k_dim) * total_cols, 0.0f);
+    // im2colSample writes every element, padding included.
+    cached_cols_.resize(static_cast<size_t>(k_dim) * total_cols);
     const int64_t sample_sz =
         static_cast<int64_t>(in_ch_) * cached_h_ * cached_w_;
     for (int b = 0; b < cached_batch_; ++b) {
         im2colSample(x.data() + b * sample_sz, in_ch_, cached_h_, cached_w_,
-                     kernel_, stride_, pad_, out_h_, out_w_, cached_cols_,
-                     total_cols, b * p);
+                     kernel_, stride_, pad_, out_h_, out_w_,
+                     cached_cols_.data(), total_cols, b * p);
     }
 
     // Y(mat) = W(out x K) * cols(K x B*P)  — one GEMM for the whole batch,
@@ -140,11 +180,12 @@ Conv2d::forward(const Tensor &x, bool /*training*/)
     for (int b = 0; b < cached_batch_; ++b) {
         for (int o = 0; o < out_ch_; ++o) {
             const float bias_v = has_bias_ ? bias_.value[o] : 0.0f;
-            for (int i = 0; i < p; ++i) {
-                y[((static_cast<int64_t>(b) * out_ch_ + o) * p) + i] =
-                    y_mat[static_cast<size_t>(o) * total_cols + b * p + i] +
-                    bias_v;
-            }
+            const float *src =
+                y_mat.data() + static_cast<size_t>(o) * total_cols + b * p;
+            float *dst =
+                y.data() + (static_cast<int64_t>(b) * out_ch_ + o) * p;
+            for (int i = 0; i < p; ++i)
+                dst[i] = src[i] + bias_v;
         }
     }
     return y;
@@ -170,10 +211,13 @@ Conv2d::backward(const Tensor &grad_out)
     std::span<float> dy_mat =
         ws.alloc<float>(static_cast<size_t>(out_ch_) * total_cols);
     for (int b = 0; b < cached_batch_; ++b)
-        for (int o = 0; o < out_ch_; ++o)
-            for (int i = 0; i < p; ++i)
-                dy_mat[static_cast<size_t>(o) * total_cols + b * p + i] =
-                    grad_out[((static_cast<int64_t>(b) * out_ch_ + o) * p) + i];
+        for (int o = 0; o < out_ch_; ++o) {
+            const float *src =
+                grad_out.data() + (static_cast<int64_t>(b) * out_ch_ + o) * p;
+            std::copy(src, src + p,
+                      dy_mat.data() + static_cast<size_t>(o) * total_cols +
+                          b * p);
+        }
 
     // dW = dY * cols^T : (out x B*P) * (B*P x K).
     std::span<float> cols_t =
@@ -208,9 +252,9 @@ Conv2d::backward(const Tensor &grad_out)
     const int64_t sample_sz =
         static_cast<int64_t>(in_ch_) * cached_h_ * cached_w_;
     for (int b = 0; b < cached_batch_; ++b) {
-        col2imSample(dcols, in_ch_, cached_h_, cached_w_, kernel_, stride_,
-                     pad_, out_h_, out_w_, grad_in.data() + b * sample_sz,
-                     total_cols, b * p);
+        col2imSample(dcols.data(), in_ch_, cached_h_, cached_w_, kernel_,
+                     stride_, pad_, out_h_, out_w_,
+                     grad_in.data() + b * sample_sz, total_cols, b * p);
     }
     return grad_in;
 }

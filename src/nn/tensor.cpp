@@ -1,8 +1,10 @@
 #include "nn/tensor.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace mirage {
 namespace nn {
@@ -104,10 +106,38 @@ transposeInto(std::span<const float> a, int rows, int cols,
     MIRAGE_ASSERT(a.size() == static_cast<size_t>(rows) * cols,
                   "transpose shape mismatch");
     MIRAGE_ASSERT(out.size() == a.size(), "transpose output size mismatch");
-    for (int r = 0; r < rows; ++r)
-        for (int c = 0; c < cols; ++c)
-            out[static_cast<size_t>(c) * rows + r] =
-                a[static_cast<size_t>(r) * cols + c];
+    // Cache-blocked: a panel of kPanel input columns becomes kPanel output
+    // rows that stay in L1 while 8 x 8 register tiles sweep down the input
+    // rows. Element-wise, the sweep would stride `rows` floats through
+    // `out` per element (and, for power-of-two `cols`, read rows that all
+    // map to one L1 set).
+    constexpr int kPanel = 64;
+    const float *src = a.data();
+    float *dst = out.data();
+    const int rows8 = rows - rows % 8;
+    const int cols8 = cols - cols % 8;
+    const auto at = [&](int r, int c) {
+        dst[static_cast<size_t>(c) * rows + r] =
+            src[static_cast<size_t>(r) * cols + c];
+    };
+    for (int c0 = 0; c0 < cols; c0 += kPanel) {
+        const int c1 = std::min(cols, c0 + kPanel);
+        const int c1_8 = std::min(c1, cols8);
+        for (int r = 0; r < rows8; r += 8) {
+            int c = c0;
+            for (; c < c1_8; c += 8)
+                simd::transpose8x8F32(src + static_cast<size_t>(r) * cols + c,
+                                      cols,
+                                      dst + static_cast<size_t>(c) * rows + r,
+                                      rows);
+            for (; c < c1; ++c)
+                for (int rr = r; rr < r + 8; ++rr)
+                    at(rr, c);
+        }
+        for (int r = rows8; r < rows; ++r)
+            for (int c = c0; c < c1; ++c)
+                at(r, c);
+    }
 }
 
 } // namespace nn

@@ -8,6 +8,11 @@
  * invariant that lets the SIMD kernels keep both the thread-count
  * determinism contract and every committed golden value.
  *
+ * The BFP quantize core is pinned the same way: its AVX2 float-lane body
+ * against the double scalar core, byte for byte, on the groups where
+ * float rounding could go wrong (ties, near-ties, underflowing products,
+ * extreme shared exponents).
+ *
  * On hosts without AVX2/NEON the wrappers dispatch to the scalar reference
  * and these tests pass trivially; on vector hardware they pin the real
  * vector bodies (including ragged tails and the per-row zero-skip).
@@ -15,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/simd.h"
@@ -207,6 +214,233 @@ TEST_F(SimdTest, IntegerPanelKernelsMatchScalarReference)
             EXPECT_EQ(uacc_vec, uacc_ref) << "kd=" << kd << " jt=" << jt;
         }
     }
+}
+
+/** frexp exponent of a group's largest magnitude (0 when all zero): the
+ *  BFP shared exponent, so |v| < 2^shared. */
+int
+sharedExponent(const float *v, int n, int64_t stride = 1)
+{
+    float m = 0.0f;
+    for (int i = 0; i < n; ++i)
+        m = std::max(m, std::fabs(v[i * stride]));
+    int e = 0;
+    if (m != 0.0f)
+        std::frexp(m, &e);
+    return e;
+}
+
+/**
+ * Quantize groups that probe every float-lane exactness argument, for
+ * mantissa width bm. Kind 0: gaussians at a random scale; 1: exact ties
+ * (k + 1/2) 2^(e - bm) and their nextafter neighbours; 2: a large value
+ * with tiny negative normals and subnormals whose products underflow;
+ * 3: +-0 with one element of either sign; 4: all zero; 5: shared exponent
+ * 128 (values up to FLT_MAX); 6: shared exponent -148 (only +-2^-149).
+ */
+class QuantizeGroups : public SimdTest
+{
+  protected:
+    static constexpr int kKinds = 7;
+
+    void
+    fill(float *v, int n, int64_t stride, int kind, int bm)
+    {
+        constexpr float kDenormMin = std::numeric_limits<float>::denorm_min();
+        const auto at = [&](int i) -> float & { return v[i * stride]; };
+        for (int i = 0; i < n; ++i)
+            at(i) = 0.0f;
+        switch (kind) {
+          case 0: {
+            const int e = static_cast<int>(rng.uniformReal() * 200) - 100;
+            for (int i = 0; i < n; ++i)
+                at(i) = std::ldexp(static_cast<float>(rng.gaussian()), e);
+            break;
+          }
+          case 1: {
+            const int e = static_cast<int>(rng.uniformReal() * 60) - 30;
+            const float ulp = std::ldexp(1.0f, e - bm);
+            at(0) = std::ldexp(0.75f, e); // fixes the shared exponent at e
+            for (int i = 1; i < n; ++i) {
+                const int k = static_cast<int>(rng.uniformReal() *
+                                               (2 << bm)) - (1 << bm);
+                const float tie = (static_cast<float>(k) + 0.5f) * ulp;
+                const int nudge = i % 3; // exact tie, then either side
+                at(i) = nudge == 0 ? tie
+                        : nudge == 1
+                            ? std::nextafter(tie, 0.0f)
+                            : std::nextafter(tie, 2.0f * tie + 1.0f);
+            }
+            break;
+          }
+          case 2:
+            at(0) = std::ldexp(-0.9f, 10);
+            for (int i = 1; i < n; ++i)
+                at(i) = i % 3 == 0   ? -1e-38f
+                        : i % 3 == 1 ? -3.0f * kDenormMin
+                                     : kDenormMin * static_cast<float>(i);
+            break;
+          case 3:
+            for (int i = 0; i < n; ++i)
+                at(i) = i % 2 == 0 ? -0.0f : 0.0f;
+            at(n - 1) = rng.uniformReal() < 0.5 ? -1.5f : 1.25f;
+            break;
+          case 4:
+            break;
+          case 5:
+            at(0) = std::numeric_limits<float>::max();
+            for (int i = 1; i < n; ++i)
+                at(i) = i % 2 == 0
+                            ? std::ldexp(static_cast<float>(rng.gaussian()),
+                                         126)
+                            : -std::ldexp(1.0f, -100);
+            break;
+          default:
+            for (int i = 0; i < n; ++i)
+                at(i) = i % 3 == 0 ? kDenormMin
+                        : i % 3 == 1 ? -kDenormMin
+                                     : 0.0f;
+            break;
+        }
+    }
+};
+
+TEST_F(QuantizeGroups, RowsMatchDoubleCoreByteForByte)
+{
+    for (int bm : {1, 4, 8, 15}) {
+        const int32_t q_max = (1 << bm) - 1;
+        for (int n : {1, 5, 8, 13, 16, 23}) { // ragged K % g tails
+            for (int kind = 0; kind < kKinds; ++kind) {
+                std::vector<float> v(static_cast<size_t>(n));
+                fill(v.data(), n, 1, kind, bm);
+                EXPECT_EQ(simd::maxMagnitude(v.data(), n),
+                          simd::scalar::maxMagnitude(v.data(), n));
+                const int shift = bm - sharedExponent(v.data(), n);
+                for (bool nearest : {true, false}) {
+                    std::vector<int32_t> q_vec(v.size(), -7), q_ref = q_vec;
+                    const int32_t c_vec = simd::quantizeRow(
+                        v.data(), n, shift, q_max, nearest, q_vec.data());
+                    const int32_t c_ref = simd::scalar::quantizeRow(
+                        v.data(), n, shift, q_max, nearest, q_ref.data());
+                    EXPECT_EQ(q_vec, q_ref)
+                        << "bm=" << bm << " n=" << n << " kind=" << kind
+                        << " nearest=" << nearest;
+                    EXPECT_EQ(c_vec, c_ref)
+                        << "bm=" << bm << " n=" << n << " kind=" << kind;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(QuantizeGroups, ColumnsMatchDoubleCoreByteForByte)
+{
+    for (int bm : {1, 4, 8, 15}) {
+        const int32_t q_max = (1 << bm) - 1;
+        for (int rows : {1, 5, 16}) {
+            for (int cols : {1, 7, 8, 9, 16}) { // ragged N % 16 blocks
+                const int64_t ldv = cols + 3, ldq = cols + 1;
+                for (int rep = 0; rep < 2; ++rep) {
+                    std::vector<float> v(static_cast<size_t>(rows) * ldv);
+                    int32_t shift[16] = {};
+                    for (int j = 0; j < cols; ++j) {
+                        // Mixed kinds per block, and one whole block of
+                        // each kind, so both the per-lane float path and
+                        // the whole-block double fallback run.
+                        const int kind = rep == 0 ? j % kKinds
+                                                  : (bm + rows) % kKinds;
+                        fill(v.data() + j, rows, ldv, kind, bm);
+                        shift[j] = bm - sharedExponent(v.data() + j, rows, ldv);
+                    }
+                    uint32_t max_vec[16] = {}, max_ref[16] = {};
+                    simd::maxMagnitudeCols(v.data(), ldv, rows, cols,
+                                           max_vec);
+                    simd::scalar::maxMagnitudeCols(v.data(), ldv, rows, cols,
+                                                   max_ref);
+                    EXPECT_EQ(0, std::memcmp(max_vec, max_ref,
+                                             cols * sizeof(uint32_t)))
+                        << "rows=" << rows << " cols=" << cols;
+                    for (bool nearest : {true, false}) {
+                        std::vector<int32_t> q_vec(
+                            static_cast<size_t>(rows) * ldq, -7),
+                            q_ref = q_vec;
+                        std::vector<int32_t> c_vec(16, 3), c_ref = c_vec;
+                        simd::quantizeCols(v.data(), ldv, rows, cols, shift,
+                                           q_max, nearest, q_vec.data(), ldq,
+                                           c_vec.data());
+                        simd::scalar::quantizeCols(
+                            v.data(), ldv, rows, cols, shift, q_max, nearest,
+                            q_ref.data(), ldq, c_ref.data());
+                        EXPECT_EQ(q_vec, q_ref)
+                            << "bm=" << bm << " rows=" << rows
+                            << " cols=" << cols << " rep=" << rep
+                            << " nearest=" << nearest;
+                        EXPECT_EQ(c_vec, c_ref)
+                            << "bm=" << bm << " rows=" << rows
+                            << " cols=" << cols << " rep=" << rep;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(QuantizeGroups, DoubleCoreRoundsTiesAwayAndFloorsUnderflow)
+{
+    // Pins the reference itself, so the byte comparisons above cannot pass
+    // against a broken core. bm = 4, shared exponent 0: scale 2^4.
+    const float v[] = {2.5f / 16, -2.5f / 16, std::nextafter(2.5f / 16, 0.0f),
+                       -0.0f, -std::numeric_limits<float>::denorm_min(),
+                       0.96875f};
+    int32_t q[6] = {};
+    EXPECT_EQ(simd::scalar::quantizeRow(v, 6, 4, 15, true, q), 1);
+    EXPECT_EQ(std::vector<int32_t>(q, q + 6),
+              (std::vector<int32_t>{3, -3, 2, 0, 0, 15}));
+    EXPECT_EQ(simd::scalar::quantizeRow(v, 6, 4, 15, false, q), 0);
+    EXPECT_EQ(std::vector<int32_t>(q, q + 6),
+              (std::vector<int32_t>{2, -3, 2, 0, -1, 15}));
+    // The float lanes see -2^-149 * 2^-6 underflow to -0 and must still
+    // floor to -1, as the double core does.
+    const float tiny[] = {std::ldexp(-0.9f, 10),
+                          -std::numeric_limits<float>::denorm_min(), -1e-38f,
+                          0.0f, 1e-38f, -0.0f, 3.0f, -5.0f};
+    int32_t q_vec[8] = {}, q_ref[8] = {};
+    simd::quantizeRow(tiny, 8, -6, 15, false, q_vec);
+    simd::scalar::quantizeRow(tiny, 8, -6, 15, false, q_ref);
+    EXPECT_EQ(std::vector<int32_t>(q_vec, q_vec + 8),
+              (std::vector<int32_t>{-15, -1, -1, 0, 0, 0, 0, -1}));
+    EXPECT_EQ(0, std::memcmp(q_vec, q_ref, sizeof q_vec));
+}
+
+TEST_F(SimdTest, TransposeTileMatchesScalarReference)
+{
+    const auto src = floats(8 * 11);
+    std::vector<float> t_vec(8 * 13, 1.0f), t_ref = t_vec;
+    simd::transpose8x8F32(src.data(), 11, t_vec.data(), 13);
+    simd::scalar::transpose8x8F32(src.data(), 11, t_ref.data(), 13);
+    EXPECT_EQ(0, std::memcmp(t_vec.data(), t_ref.data(),
+                             t_vec.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(&t_ref[3 * 13 + 5], &src[5 * 11 + 3],
+                             sizeof(float)));
+}
+
+TEST(SimdEnv, ParseAcceptsOnlyKnownValues)
+{
+    EXPECT_EQ(simd::parseSimdEnv("scalar"), false);
+    EXPECT_EQ(simd::parseSimdEnv("off"), false);
+    EXPECT_EQ(simd::parseSimdEnv(" 0 "), false);
+    EXPECT_EQ(simd::parseSimdEnv("auto"), true);
+    EXPECT_EQ(simd::parseSimdEnv("on"), true);
+    EXPECT_EQ(simd::parseSimdEnv("1"), true);
+
+    std::string error;
+    for (const char *bad : {"", "  ", "scalr", "avx2", "SCALAR", "2", "0x",
+                            "scalar,"}) {
+        error.clear();
+        EXPECT_EQ(simd::parseSimdEnv(bad, &error), std::nullopt) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
+    EXPECT_EQ(simd::parseSimdEnv(nullptr), std::nullopt);
 }
 
 } // namespace
