@@ -134,6 +134,10 @@ BENCHMARK_CAPTURE(BM_BfpRnsGemm, 128, 128, 128, 128, bfp::Rounding::Truncate);
 // train_resnet's skinny forward shape: 8 filters over a 72 x 4096 im2col.
 BENCHMARK_CAPTURE(BM_BfpRnsGemm, 8x72x4096_nearest, 8, 72, 4096,
                   bfp::Rounding::Nearest);
+// Its weight gradient: dY (8 x 4096) times the im2col transposed, a long
+// K against a skinny N.
+BENCHMARK_CAPTURE(BM_BfpRnsGemm, 8x4096x72_nearest, 8, 4096, 72,
+                  bfp::Rounding::Nearest);
 
 void
 BM_Fp32Gemm(benchmark::State &state)

@@ -27,7 +27,6 @@ constexpr int64_t kEncodeGrain = 8;
 /// Elements per column-encode step: each step zeroes and flushes one
 /// GroupTally, which a single 16 x 72 block would not amortize.
 constexpr int64_t kEncodeTaskWork = 8192;
-constexpr int64_t kComputeGrain = 4;
 /// Serial-below cutoffs. Encoding costs tens of cycles per element and the
 /// compute loop a few per MAC; below these counts the work finishes faster
 /// than the workers wake. (They were 4096/16384 — low enough that tiny
@@ -36,12 +35,18 @@ constexpr int64_t kComputeGrain = 4;
 constexpr int64_t kMinEncodeWork = 16384;
 constexpr int64_t kMinComputeWork = 65536;
 
-/// Output rows per register-tiled panel (simd::gemmPanel4I32I32/I32I64).
+/// Output rows per register tile (simd::chunkTile4, simd::gemmPanel4I32I64).
 constexpr int kRowBlock = 4;
-/// Output-column tile: one chunk's g x kColTile B panel and the 4 x kColTile
-/// accumulators stay L1-resident. Tiling never reorders any element's
-/// chunk accumulation, so results are unaffected.
+/// Int64 route's output-column tile: one chunk's g x kColTile B panel and
+/// the 4 x kColTile accumulators stay L1-resident.
 constexpr int kColTile = 64;
+/// Compute tasks are (4-row block x column group). A group holds about
+/// kComputeTaskWork MACs in a multiple of kColumnBlock columns, at most
+/// kMaxGroupCols: a width fixed by the shape alone, so skinny-M layers
+/// still fill the pool. Neither tiling nor the split reorders any
+/// element's chunk accumulation, so results do not depend on them.
+constexpr int64_t kComputeTaskWork = 65536;
+constexpr int64_t kMaxGroupCols = 256;
 
 /**
  * Stochastic rounding draws from a per-row (per-column) substream split
@@ -79,6 +84,20 @@ struct KMajorCols
 };
 
 /**
+ * B's column groups in simd::ChunkTile's layout: per kColumnBlock-column
+ * panel, the mantissas as int16 pairs and the chunk exponents. Lanes past
+ * n_cols are zero.
+ */
+struct PairPanels
+{
+    std::span<int32_t> pairs;
+    std::span<int32_t> exps;
+};
+
+static_assert(kColumnBlock == simd::ChunkTile::kPanel,
+              "one B encode block is one ChunkTile panel");
+
+/**
  * Encodes columns j0 .. j0 + cols - 1 with stochastic rounding, column j
  * drawing from its own substream. Out of line so that the other roundings
  * never stage kColumnBlock generators (~40 KB of state) per block.
@@ -86,30 +105,32 @@ struct KMajorCols
 [[gnu::noinline]] void
 encodeStochasticColumnBlock(std::span<const float> b, int k_depth, int n_cols,
                             int j0, int cols, const BfpConfig &cfg,
-                            const RoundingStreams &streams,
-                            const KMajorCols &out, GroupTally &tally)
+                            const RoundingStreams &streams, int32_t *mant,
+                            int64_t ldm, int32_t *exps, int64_t lde,
+                            GroupTally &tally)
 {
     std::optional<Rng> col_rng[kColumnBlock];
     Rng *rngs[kColumnBlock] = {};
     for (int j = 0; j < cols; ++j)
         rngs[j] = &col_rng[j].emplace(streams.stream(j0 + j));
-    encodeColumnBlock(b.data() + j0, n_cols, k_depth, cols, cfg,
-                      out.mant.data() + j0, n_cols, out.exps.data() + j0,
-                      n_cols, rngs, tally);
+    encodeColumnBlock(b.data() + j0, n_cols, k_depth, cols, cfg, mant, ldm,
+                      exps, lde, rngs, tally);
 }
 
-/** Encodes B (KxN, row-major) kColumnBlock columns at a time; column j
- *  draws from its own rounding substream, chunks in ascending order. */
-KMajorCols
-encodeColsKMajor(std::span<const float> b, int k_depth, int n_cols,
-                 const BfpConfig &cfg, Workspace &ws, Rng *rng)
+/**
+ * Encodes B (KxN, row-major) kColumnBlock columns at a time, in parallel
+ * over a split fixed by the shape. Per block, block(j0, cols, encode) is
+ * called; encode(mant, ldm, exps, lde) writes mantissa (t, j0 + l) to
+ * mant[t * ldm + l] and chunk c's exponent to exps[c * lde + l]. Column j
+ * draws from its own rounding substream, chunks in ascending order.
+ */
+template <typename Block>
+void
+encodeColumnBlocks(std::span<const float> b, int k_depth, int n_cols,
+                   const BfpConfig &cfg, Rng *rng, Block &&block)
 {
     MIRAGE_ASSERT(b.size() == static_cast<size_t>(k_depth) * n_cols,
                   "matrix shape mismatch");
-    const KMajorCols out{
-        ws.alloc<int32_t>(static_cast<size_t>(k_depth) * n_cols),
-        ws.alloc<int32_t>(static_cast<size_t>(ceilDiv(k_depth, cfg.g)) *
-                          n_cols)};
     const RoundingStreams streams(cfg, rng);
     const int64_t blocks = ceilDiv(n_cols, kColumnBlock);
     const int64_t grain = std::max<int64_t>(
@@ -124,15 +145,73 @@ encodeColsKMajor(std::span<const float> b, int k_depth, int n_cols,
             for (int64_t blk = b0; blk < b1; ++blk) {
                 const int j0 = static_cast<int>(blk) * kColumnBlock;
                 const int cols = std::min(kColumnBlock, n_cols - j0);
-                if (streams.stochastic)
-                    encodeStochasticColumnBlock(b, k_depth, n_cols, j0, cols,
-                                                cfg, streams, out, tally);
-                else
-                    encodeColumnBlock(b.data() + j0, n_cols, k_depth, cols,
-                                      cfg, out.mant.data() + j0, n_cols,
-                                      out.exps.data() + j0, n_cols, nullptr,
-                                      tally);
+                block(j0, cols,
+                      [&](int32_t *mant, int64_t ldm, int32_t *exps,
+                          int64_t lde) {
+                          if (streams.stochastic)
+                              encodeStochasticColumnBlock(
+                                  b, k_depth, n_cols, j0, cols, cfg, streams,
+                                  mant, ldm, exps, lde, tally);
+                          else
+                              encodeColumnBlock(b.data() + j0, n_cols,
+                                                k_depth, cols, cfg, mant, ldm,
+                                                exps, lde, nullptr, tally);
+                      });
             }
+        });
+}
+
+/** B in its own K-major layout (the int64 route and the photonic path). */
+KMajorCols
+encodeColsKMajor(std::span<const float> b, int k_depth, int n_cols,
+                 const BfpConfig &cfg, Workspace &ws, Rng *rng)
+{
+    const KMajorCols out{
+        ws.alloc<int32_t>(static_cast<size_t>(k_depth) * n_cols),
+        ws.alloc<int32_t>(static_cast<size_t>(ceilDiv(k_depth, cfg.g)) *
+                          n_cols)};
+    encodeColumnBlocks(b, k_depth, n_cols, cfg, rng,
+                       [&](int j0, int, auto &&encode) {
+                           encode(out.mant.data() + j0, n_cols,
+                                  out.exps.data() + j0, n_cols);
+                       });
+    return out;
+}
+
+/**
+ * B in ChunkTile panels (the fused route). Each block is encoded into a
+ * K-major scratch panel in the thread's workspace, then paired while it is
+ * cache-hot.
+ */
+PairPanels
+encodeColsPairs(std::span<const float> b, int k_depth, int n_cols,
+                const BfpConfig &cfg, Workspace &ws, Rng *rng)
+{
+    const int64_t pair_panel =
+        simd::ChunkTile::pairWords(k_depth, cfg.g, kColumnBlock);
+    const int64_t exp_panel = ceilDiv(k_depth, cfg.g) * kColumnBlock;
+    const int64_t panels = ceilDiv(n_cols, kColumnBlock);
+    const PairPanels out{
+        ws.alloc<int32_t>(static_cast<size_t>(panels * pair_panel)),
+        ws.zeroed<int32_t>(static_cast<size_t>(panels * exp_panel))};
+    encodeColumnBlocks(
+        b, k_depth, n_cols, cfg, rng, [&](int j0, int cols, auto &&encode) {
+            Workspace &tws = threadWorkspace();
+            Workspace::Scope tscope(tws);
+            int32_t *mant =
+                tws.alloc<int32_t>(static_cast<size_t>(k_depth) *
+                                   kColumnBlock)
+                    .data();
+            const int64_t panel = j0 / kColumnBlock;
+            encode(mant, kColumnBlock, out.exps.data() + panel * exp_panel,
+                   kColumnBlock);
+            // Lanes past n_cols pack as zero pairs.
+            for (int t = 0; t < k_depth && cols < kColumnBlock; ++t)
+                std::fill(mant + t * kColumnBlock + cols,
+                          mant + (t + 1) * kColumnBlock, 0);
+            simd::packChunkPairs<kColumnBlock>(mant, 1, kColumnBlock, k_depth,
+                                         cfg.g,
+                                         out.pairs.data() + panel * pair_panel);
         });
     return out;
 }
@@ -172,80 +251,160 @@ scaleAccumulate(const Dot *isum, int ea, const int32_t *eb, float *acc, int n)
 }
 
 /**
- * C = A_enc * B_enc. Per output tile, each chunk is one exact integer panel
- * GEMM (A's 4 x kd chunk slice times B's kd x 64 panel, kd the chunk's real
- * length) into `Dot` sums; its dots are scaled and added into the FP32 tile
- * in ascending chunk order — exactly the per-element FP32 accumulation
- * sequence of Mirage's dataflow step 9. Output rows are independent and
- * rng-free, so any row blocking or thread count gives bit-identical results.
+ * Runs tile(ib, rows, j0, j1) — output rows ib .. ib + rows - 1, columns
+ * j0 .. j1 - 1 — over every (4-row block x column group) in parallel.
+ * Group starts are multiples of kColumnBlock.
  */
-template <typename Dot>
+template <typename Tile>
 void
-multiplyChunks(const BfpPackedMatrix &a_enc, const KMajorCols &b_enc,
-               int k_depth, int n_cols, int bm, std::span<float> c)
+forEachTile(int m_rows, int k_depth, int n_cols, Tile &&tile)
 {
-    const int m_rows = a_enc.rows;
-    const int g = a_enc.g;
-    const int64_t lda = static_cast<int64_t>(a_enc.chunk_count) * g;
+    const int group = static_cast<int>(roundUp(
+        std::clamp<int64_t>(
+            kComputeTaskWork / (int64_t{kRowBlock} * std::max(k_depth, 1)),
+            kColumnBlock, kMaxGroupCols),
+        kColumnBlock));
+    const int64_t groups = ceilDiv(n_cols, group);
+    const int64_t tasks = ceilDiv(m_rows, kRowBlock) * groups;
+    // Shallow K leaves a full-width group short of kComputeTaskWork; one
+    // parallelFor step then takes several.
+    const int64_t grain = std::max<int64_t>(
+        1, kComputeTaskWork /
+               (int64_t{kRowBlock} * std::max(k_depth, 1) * group));
     runtime::parallelFor(
-        m_rows,
-        runtime::serialBelow(m_rows, kComputeGrain,
+        tasks,
+        runtime::serialBelow(tasks, grain,
                              static_cast<int64_t>(m_rows) * k_depth * n_cols,
                              kMinComputeWork),
-        [&](int64_t i0, int64_t i1) {
-            Workspace &tws = threadWorkspace();
-            Workspace::Scope tscope(tws);
-            const size_t tile = static_cast<size_t>(kRowBlock) * kColTile;
-            Dot *isum = tws.alloc<Dot>(tile).data();
-            float *acc = tws.alloc<float>(tile).data();
-            for (int64_t ib = i0; ib < i1; ib += kRowBlock) {
+        [&](int64_t t0, int64_t t1) {
+            for (int64_t task = t0; task < t1; ++task) {
+                const int64_t ib = task / groups * kRowBlock;
                 const int rows =
-                    static_cast<int>(std::min<int64_t>(kRowBlock, i1 - ib));
-                // An m % 4 row tail runs as a full panel over zero rows.
-                const int32_t *a_rows = a_enc.mantissas.data() + ib * lda;
-                if (rows < kRowBlock) {
-                    std::span<int32_t> pad = tws.zeroed<int32_t>(
-                        static_cast<size_t>(kRowBlock) * lda);
-                    std::copy(a_rows, a_rows + rows * lda, pad.begin());
-                    a_rows = pad.data();
-                }
-                for (int j0 = 0; j0 < n_cols; j0 += kColTile) {
-                    const int jt = std::min(kColTile, n_cols - j0);
-                    std::fill(acc, acc + static_cast<size_t>(rows) * jt,
-                              0.0f);
-                    for (int ch = 0; ch < a_enc.chunk_count; ++ch) {
-                        const int kd = std::min(g, k_depth - ch * g);
-                        std::fill(isum,
-                                  isum + static_cast<size_t>(kRowBlock) * jt,
-                                  Dot{0});
-                        const int32_t *b_panel =
-                            &b_enc.mant[static_cast<size_t>(ch) * g * n_cols +
-                                        j0];
-                        if constexpr (std::is_same_v<Dot, int32_t>)
-                            simd::gemmPanel4I32I32(a_rows + ch * g, lda,
-                                                   b_panel, n_cols, kd, isum,
-                                                   jt);
-                        else
-                            simd::gemmPanel4I32I64(a_rows + ch * g, lda,
-                                                   b_panel, n_cols, kd, isum,
-                                                   jt);
-                        const int32_t *eb =
-                            &b_enc.exps[static_cast<size_t>(ch) * n_cols + j0];
-                        for (int r = 0; r < rows; ++r)
-                            scaleAccumulate(
-                                isum + static_cast<size_t>(r) * jt,
+                    static_cast<int>(std::min<int64_t>(kRowBlock, m_rows - ib));
+                const int j0 = static_cast<int>(task % groups) * group;
+                tile(ib, rows, j0, std::min(n_cols, j0 + group));
+            }
+        });
+}
+
+/**
+ * A's rows ib .. ib + rows - 1 as a full 4-row block: in place, or for an
+ * m % 4 row tail a copy padded with zero rows from `ws`.
+ */
+const int32_t *
+rowBlock(const BfpPackedMatrix &a_enc, int64_t ib, int rows, Workspace &ws)
+{
+    const int64_t lda = static_cast<int64_t>(a_enc.chunk_count) * a_enc.g;
+    const int32_t *a_rows = a_enc.mantissas.data() + ib * lda;
+    if (rows == kRowBlock)
+        return a_rows;
+    std::span<int32_t> pad =
+        ws.zeroed<int32_t>(static_cast<size_t>(kRowBlock) * lda);
+    std::copy(a_rows, a_rows + rows * lda, pad.begin());
+    return pad.data();
+}
+
+/**
+ * The int64 route (g * 2^(2 bm) > INT32_MAX) for one tile: per 64-column
+ * tile, each chunk is one exact panel GEMM (A's 4 x kd chunk slice times
+ * B's kd x 64 panel) into int64 dots, scaled and added into the FP32 tile
+ * in ascending chunk order.
+ */
+void
+multiplyTileI64(const BfpPackedMatrix &a_enc, const KMajorCols &b_enc,
+                int k_depth, int n_cols, int bm, int64_t ib, int rows, int j0,
+                int j1, std::span<float> c)
+{
+    const int g = a_enc.g;
+    const int64_t lda = static_cast<int64_t>(a_enc.chunk_count) * g;
+    Workspace &tws = threadWorkspace();
+    Workspace::Scope tscope(tws);
+    const size_t tile = static_cast<size_t>(kRowBlock) * kColTile;
+    int64_t *isum = tws.alloc<int64_t>(tile).data();
+    float *acc = tws.alloc<float>(tile).data();
+    const int32_t *a_rows = rowBlock(a_enc, ib, rows, tws);
+    for (int jb = j0; jb < j1; jb += kColTile) {
+        const int jt = std::min(kColTile, j1 - jb);
+        std::fill(acc, acc + static_cast<size_t>(rows) * jt, 0.0f);
+        for (int ch = 0; ch < a_enc.chunk_count; ++ch) {
+            const int kd = std::min(g, k_depth - ch * g);
+            std::fill(isum, isum + static_cast<size_t>(kRowBlock) * jt,
+                      int64_t{0});
+            simd::gemmPanel4I32I64(
+                a_rows + ch * g, lda,
+                &b_enc.mant[static_cast<size_t>(ch) * g * n_cols + jb],
+                n_cols, kd, isum, jt);
+            const int32_t *eb =
+                &b_enc.exps[static_cast<size_t>(ch) * n_cols + jb];
+            for (int r = 0; r < rows; ++r)
+                scaleAccumulate(isum + static_cast<size_t>(r) * jt,
                                 a_enc.exponent(static_cast<int>(ib) + r, ch) -
                                     2 * bm,
                                 eb, acc + static_cast<size_t>(r) * jt, jt);
-                    }
-                    for (int r = 0; r < rows; ++r)
-                        std::copy(acc + static_cast<size_t>(r) * jt,
-                                  acc + static_cast<size_t>(r + 1) * jt,
-                                  &c[static_cast<size_t>(ib + r) * n_cols +
-                                     j0]);
-                }
-            }
-        });
+        }
+        for (int r = 0; r < rows; ++r)
+            std::copy(acc + static_cast<size_t>(r) * jt,
+                      acc + static_cast<size_t>(r + 1) * jt,
+                      &c[static_cast<size_t>(ib + r) * n_cols + jb]);
+    }
+}
+
+/**
+ * The fused route (every chunk dot fits int32, which holds for every
+ * paper configuration): A's 4-row blocks are packed into ChunkTile pairs
+ * once, then simd::chunkTile4 computes each tile from them and B's pair
+ * panels.
+ */
+void
+multiplyPairs(const BfpPackedMatrix &a_enc, const PairPanels &b_enc,
+              int k_depth, int n_cols, int bm, std::span<float> c,
+              Workspace &ws)
+{
+    const int m_rows = a_enc.rows;
+    const int g = a_enc.g;
+    const int chunks = a_enc.chunk_count;
+    const int64_t lda = static_cast<int64_t>(chunks) * g;
+    const int64_t row_blocks = ceilDiv(m_rows, kRowBlock);
+    const int64_t pair_block =
+        simd::ChunkTile::pairWords(k_depth, g, kRowBlock);
+    const int64_t exp_block = int64_t{chunks} * kRowBlock;
+    std::span<int32_t> a_pairs =
+        ws.alloc<int32_t>(static_cast<size_t>(row_blocks * pair_block));
+    std::span<int32_t> a_exps =
+        ws.alloc<int32_t>(static_cast<size_t>(row_blocks * exp_block));
+    for (int64_t rb = 0; rb < row_blocks; ++rb) {
+        const int64_t ib = rb * kRowBlock;
+        const int rows =
+            static_cast<int>(std::min<int64_t>(kRowBlock, m_rows - ib));
+        simd::packChunkPairs<kRowBlock>(rowBlock(a_enc, ib, rows, ws), lda, 1,
+                                        k_depth, g,
+                                        a_pairs.data() + rb * pair_block);
+        // Absent rows repeat the last row's exponents, so they never push
+        // a tile off the float-scale path.
+        int32_t *ea = a_exps.data() + rb * exp_block;
+        for (int ch = 0; ch < chunks; ++ch)
+            for (int r = 0; r < kRowBlock; ++r)
+                ea[ch * kRowBlock + r] =
+                    a_enc.exponent(static_cast<int>(ib) + std::min(r, rows - 1),
+                                   ch) -
+                    2 * bm;
+    }
+
+    const int64_t pair_panel =
+        simd::ChunkTile::pairWords(k_depth, g, kColumnBlock);
+    const int64_t exp_panel = int64_t{chunks} * kColumnBlock;
+    forEachTile(m_rows, k_depth, n_cols,
+                [&](int64_t ib, int rows, int j0, int j1) {
+                    const int64_t rb = ib / kRowBlock;
+                    const int64_t panel = j0 / kColumnBlock;
+                    simd::chunkTile4({a_pairs.data() + rb * pair_block,
+                                      a_exps.data() + rb * exp_block,
+                                      b_enc.pairs.data() + panel * pair_panel,
+                                      b_enc.exps.data() + panel * exp_panel,
+                                      k_depth, g,
+                                      c.data() + ib * n_cols + j0, n_cols,
+                                      rows, j1 - j0});
+                });
 }
 
 } // namespace
@@ -343,13 +502,25 @@ bfpGemm(std::span<const float> a, std::span<const float> b,
     Workspace::Scope scope(ws);
     const BfpPackedMatrix a_enc =
         encodeRowsPacked(a, m_rows, k_depth, cfg, ws, rng);
-    const KMajorCols b_enc = encodeColsKMajor(b, k_depth, n_cols, cfg, ws, rng);
-    // |chunk dot| <= g * 2^(2 bm): int32 panels whenever that fits (every
-    // paper configuration), int64 otherwise.
-    if ((int64_t{cfg.g} << (2 * cfg.bm)) <= INT32_MAX)
-        multiplyChunks<int32_t>(a_enc, b_enc, k_depth, n_cols, cfg.bm, c);
-    else
-        multiplyChunks<int64_t>(a_enc, b_enc, k_depth, n_cols, cfg.bm, c);
+    // Each output element is the FP32 sum, in ascending chunk order, of its
+    // chunks' exact integer dots scaled by 2^(ea + eb): the per-element
+    // accumulation sequence of Mirage's dataflow steps 7-9. Elements are
+    // independent and rng-free, so any tiling, split or thread count gives
+    // bit-identical results. |chunk dot| <= g * 2^(2 bm): the fused int16
+    // route whenever that fits int32, the int64 route otherwise.
+    if ((int64_t{cfg.g} << (2 * cfg.bm)) <= INT32_MAX) {
+        const PairPanels b_enc =
+            encodeColsPairs(b, k_depth, n_cols, cfg, ws, rng);
+        multiplyPairs(a_enc, b_enc, k_depth, n_cols, cfg.bm, c, ws);
+    } else {
+        const KMajorCols b_enc =
+            encodeColsKMajor(b, k_depth, n_cols, cfg, ws, rng);
+        forEachTile(m_rows, k_depth, n_cols,
+                    [&](int64_t ib, int rows, int j0, int j1) {
+                        multiplyTileI64(a_enc, b_enc, k_depth, n_cols, cfg.bm,
+                                        ib, rows, j0, j1, c);
+                    });
+    }
 }
 
 void

@@ -12,10 +12,12 @@
  * satisfies Eq. (13) every chunk dot lies in the set's signed range, so
  * the RNS round trip (forward conversion, one modular dot per modulus, CRT
  * decode) returns exactly the integer dot — Mirage's transparency claim.
- * bfpGemm therefore computes the exact integer dot directly, as per-chunk
- * int32 panel GEMMs, and rejects sets that fail Eq. (13). Residue
- * arithmetic itself is exercised by rns::modularGemm, by PhotonicBackend
- * over photonic::RnsMmvmu, and by the RNS reference in tests/test_bfp.cpp.
+ * bfpGemm therefore computes the exact integer dot directly — int16
+ * mantissa pairs through the fused simd::chunkTile4 kernel, or int64 panel
+ * GEMMs when a dot can exceed int32 — and rejects sets that fail Eq. (13).
+ * Residue arithmetic itself is exercised by rns::modularGemm, by
+ * PhotonicBackend over photonic::RnsMmvmu, and by the RNS reference in
+ * tests/test_bfp.cpp.
  */
 
 #include <cstdint>

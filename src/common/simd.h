@@ -22,6 +22,10 @@
  *   power of two, where v * 2^shift is exact (or below 2^-126, which no
  *   rounding can tell from its double value), and rounds with exact
  *   trunc-and-compare steps; any other shift takes the double reference.
+ * - The fused BFP chunk tile (chunkTile4) forms exact int32 chunk dots
+ *   from int16 pairs, then scales each by a normal float power of two,
+ *   which is exact, and adds it in the scalar twin's per-element chunk
+ *   order; any other scale takes the same ldexp form as the twin.
  *
  * Bit-identity is what lets the vectorized kernels keep the determinism
  * contract of runtime::parallelFor (thread-count-invariant results) *and*
@@ -56,6 +60,85 @@
 
 namespace mirage {
 namespace simd {
+
+/**
+ * Operands of the fused BFP chunk-tile kernel (chunkTile4): up to four
+ * rows of A against `cols` columns of B over the whole depth, chunk by
+ * chunk. Output c[r * ldc + j] for r < rows, j < cols is the FP32 sum,
+ * from +0 in ascending chunk order, of every chunk's exact integer dot
+ * scaled by 2^(ea + eb) — Mirage's dataflow steps 7-9.
+ *
+ * Both operands hold their mantissas as int16 pairs: pair p of chunk ch
+ * has depth ch * g + 2p in its low half and depth ch * g + 2p + 1 in its
+ * high half, or 0 past the chunk's end (the last chunk may be shorter
+ * than g). With P = ceil(g / 2) pairs and C = ceil(k_depth / g) chunks:
+ *
+ * - a_pairs[(ch * P + p) * 4 + r]: row r's pairs; rows >= `rows` are 0.
+ *   ea[ch * 4 + r]: row r's chunk exponent minus 2 bm.
+ * - B in panels of kPanel columns, the tile starting at a panel: column
+ *   j's pair is b[(j / kPanel) * C * P * kPanel + (ch * P + p) * kPanel +
+ *   j % kPanel] and its chunk exponent eb[(j / kPanel) * C * kPanel +
+ *   ch * kPanel + j % kPanel]. Lanes past `cols` may be read and are
+ *   ignored; they must be initialized.
+ *
+ * The caller guarantees g * 2^(2 bm) <= INT32_MAX (bm <= 15), so every
+ * mantissa fits int16 and every pair sum and chunk dot fits int32
+ * exactly.
+ */
+struct ChunkTile
+{
+    static constexpr int kPanel = 16;
+
+    /** int32 words of `lanes` lanes of pairs over the whole depth. */
+    static int64_t
+    pairWords(int k_depth, int g, int lanes)
+    {
+        return ceilDiv(k_depth, g) * ((g + 1) / 2) * lanes;
+    }
+
+    const int32_t *a_pairs;
+    const int32_t *ea;
+    const int32_t *b;
+    const int32_t *eb;
+    int k_depth;
+    int g;
+    float *c;
+    int64_t ldc;
+    int rows;
+    int cols;
+};
+
+/**
+ * Packs int32 mantissas into ChunkTile pairs — A's 4-row blocks (a lane
+ * per row) or one B panel (a lane per column): lane l's depth t is
+ * src[l * ld_lane + t * ld_depth]; pair p of chunk ch goes to
+ * out[(ch * ceil(g / 2) + p) * Lanes + l] and joins depths ch * g + 2p
+ * (low half) and ch * g + 2p + 1 (high half, 0 past the chunk's end).
+ */
+template <int Lanes>
+void
+packChunkPairs(const int32_t *src, int64_t ld_lane, int64_t ld_depth,
+               int k_depth, int g, int32_t *out)
+{
+    const int pairs = (g + 1) / 2;
+    for (int ch = 0, k0 = 0; k0 < k_depth; ++ch, k0 += g) {
+        const int kd = std::min(g, k_depth - k0);
+        for (int p = 0; 2 * p < kd; ++p) {
+            const int32_t *lo = src + (k0 + 2 * p) * ld_depth;
+            int32_t *o = out + (static_cast<int64_t>(ch) * pairs + p) * Lanes;
+            if (2 * p + 1 < kd)
+                for (int l = 0; l < Lanes; ++l)
+                    o[l] = static_cast<int32_t>(
+                        (static_cast<uint32_t>(lo[l * ld_lane]) & 0xffffu) |
+                        static_cast<uint32_t>(lo[l * ld_lane + ld_depth])
+                            << 16);
+            else
+                for (int l = 0; l < Lanes; ++l)
+                    o[l] = static_cast<int32_t>(
+                        static_cast<uint32_t>(lo[l * ld_lane]) & 0xffffu);
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Scalar reference implementations (always available; used as the fallback
@@ -209,22 +292,74 @@ gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
     }
 }
 
-/** Integer panel twin with an int32 panel: exact only while every partial
- *  sum fits in int32 — the caller bounds kd and the operand magnitudes. */
-inline void
-gemmPanel4I32I32(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
-                 int kd, int32_t *acc, int jt)
+/**
+ * One chunk dot scaled back to real units: float(ldexp(double(dot), e)).
+ * When 2^e is a normal float (e in [-126, 127]) the float product is the
+ * same number for every int32 dot: float(dot) rounds dot to 24 bits, and
+ * scaling by 2^e is exact (|dot| >= 1 keeps the product normal) and
+ * commutes with that rounding, overflow to inf included.
+ */
+inline float
+chunkTerm(int32_t dot, int e)
 {
-    for (int k = 0; k < kd; ++k) {
-        const int32_t *b_row = b + static_cast<size_t>(k) * ldb;
-        for (int r = 0; r < 4; ++r) {
-            const int32_t ar = a[static_cast<size_t>(r) * lda + k];
-            if (ar == 0)
-                continue;
-            int32_t *row = acc + static_cast<size_t>(r) * jt;
-            for (int j = 0; j < jt; ++j)
-                row[j] += ar * b_row[j];
+    if (e >= -126 && e <= 127)
+        return static_cast<float>(dot) * pow2f(e);
+    return static_cast<float>(std::ldexp(static_cast<double>(dot), e));
+}
+
+/** The two int16 halves of a mantissa pair; the low half is the even
+ *  depth. */
+inline int32_t
+pairLow(int32_t pair)
+{
+    return static_cast<int16_t>(static_cast<uint32_t>(pair) & 0xffffu);
+}
+
+inline int32_t
+pairHigh(int32_t pair)
+{
+    return static_cast<int16_t>(static_cast<uint32_t>(pair) >> 16);
+}
+
+/**
+ * The fused BFP chunk tile (see ChunkTile), eight columns at a time:
+ * exact int32 chunk dots from the int16 pairs, each scaled by chunkTerm
+ * and added to an FP32 sum that starts at +0, in ascending chunk order.
+ */
+inline void
+chunkTile4(const ChunkTile &t)
+{
+    constexpr int kPanel = ChunkTile::kPanel;
+    const int pairs = (t.g + 1) / 2;
+    const int64_t chunks = ceilDiv(t.k_depth, t.g);
+    for (int j0 = 0; j0 < t.cols; j0 += 8) {
+        const int cols = std::min(8, t.cols - j0);
+        float acc[4][8] = {};
+        const int32_t *ap = t.a_pairs;
+        const int32_t *ea = t.ea;
+        const int32_t *bp = t.b +
+                            j0 / kPanel * ChunkTile::pairWords(
+                                              t.k_depth, t.g, kPanel) +
+                            j0 % kPanel;
+        const int32_t *eb = t.eb + j0 / kPanel * chunks * kPanel + j0 % kPanel;
+        for (int k0 = 0; k0 < t.k_depth; k0 += t.g, ap += 4 * pairs, ea += 4,
+                 bp += pairs * kPanel, eb += kPanel) {
+            const int kd = std::min(t.g, t.k_depth - k0);
+            int32_t dot[4][8] = {};
+            for (int p = 0; 2 * p < kd; ++p)
+                for (int r = 0; r < t.rows; ++r)
+                    for (int l = 0; l < cols; ++l) {
+                        const int32_t a = ap[4 * p + r];
+                        const int32_t b = bp[p * kPanel + l];
+                        dot[r][l] += pairLow(a) * pairLow(b) +
+                                     pairHigh(a) * pairHigh(b);
+                    }
+            for (int r = 0; r < t.rows; ++r)
+                for (int l = 0; l < cols; ++l)
+                    acc[r][l] += chunkTerm(dot[r][l], ea[r] + eb[l]);
         }
+        for (int r = 0; r < t.rows; ++r)
+            std::copy(acc[r], acc[r] + cols, t.c + r * t.ldc + j0);
     }
 }
 
@@ -759,73 +894,143 @@ gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
     }
 }
 
-/** Register-tiled int32 panel: 16-column tiles (4 rows x 2 ymm of eight
- *  i32 lanes), twice the columns per op of gemmPanel4I32I64. No zero skip:
- *  a zero product adds nothing, and random zero patterns (ReLU outputs)
- *  would mispredict. Exact under the scalar twin's bound, so identical. */
-__attribute__((target("avx2"))) inline void
-gemmPanel4I32I32(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
-                 int kd, int32_t *acc, int jt)
+/** acc + float(d) * 2^(ea + eb): eb_field holds eb << 23, and ea + eb is
+ *  in [-126, 127], so the sum of the fields is the normal float 2^e. */
+__attribute__((target("avx2"), always_inline)) inline __m256
+scaleAdd(__m256 acc, __m256i d, __m256i eb_field, int ea)
 {
-    int32_t *acc1 = acc + jt;
-    int32_t *acc2 = acc + 2 * jt;
-    int32_t *acc3 = acc + 3 * jt;
-    int j = 0;
-    for (; j + 16 <= jt; j += 16) {
-        __m256i c00 = _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc + j));
-        __m256i c01 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc + j + 8));
-        __m256i c10 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc1 + j));
-        __m256i c11 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc1 + j + 8));
-        __m256i c20 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc2 + j));
-        __m256i c21 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc2 + j + 8));
-        __m256i c30 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc3 + j));
-        __m256i c31 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc3 + j + 8));
-        for (int k = 0; k < kd; ++k) {
-            const int32_t *b_row = b + static_cast<size_t>(k) * ldb + j;
-            const __m256i b0 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(b_row));
-            const __m256i b1 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(b_row + 8));
-            const __m256i a0 = _mm256_set1_epi32(a[k]);
-            const __m256i a1 = _mm256_set1_epi32(a[lda + k]);
-            const __m256i a2 = _mm256_set1_epi32(a[2 * lda + k]);
-            const __m256i a3 = _mm256_set1_epi32(a[3 * lda + k]);
-            c00 = _mm256_add_epi32(c00, _mm256_mullo_epi32(a0, b0));
-            c01 = _mm256_add_epi32(c01, _mm256_mullo_epi32(a0, b1));
-            c10 = _mm256_add_epi32(c10, _mm256_mullo_epi32(a1, b0));
-            c11 = _mm256_add_epi32(c11, _mm256_mullo_epi32(a1, b1));
-            c20 = _mm256_add_epi32(c20, _mm256_mullo_epi32(a2, b0));
-            c21 = _mm256_add_epi32(c21, _mm256_mullo_epi32(a2, b1));
-            c30 = _mm256_add_epi32(c30, _mm256_mullo_epi32(a3, b0));
-            c31 = _mm256_add_epi32(c31, _mm256_mullo_epi32(a3, b1));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j), c00);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j + 8), c01);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc1 + j), c10);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc1 + j + 8), c11);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc2 + j), c20);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc2 + j + 8), c21);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc3 + j), c30);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc3 + j + 8), c31);
-    }
-    if (j < jt) {
-        for (int k = 0; k < kd; ++k) {
-            const int32_t *b_row = b + static_cast<size_t>(k) * ldb;
+    const __m256 scale = _mm256_castsi256_ps(_mm256_add_epi32(
+        eb_field, _mm256_set1_epi32(static_cast<int32_t>(
+                      static_cast<uint32_t>(ea + 127) << 23))));
+    return _mm256_add_ps(acc, _mm256_mul_ps(_mm256_cvtepi32_ps(d), scale));
+}
+
+/**
+ * A chunk whose exponents leave the float-scale range: every lane
+ * takes scalar::chunkTerm (an ldexp where needed) in the same per-element
+ * order. Out of line; extreme exponents are rare.
+ */
+[[gnu::noinline]] inline void
+chunkTermsSlow(const int32_t (*dots)[16], float (*sums)[16],
+               const int32_t *ea, const int32_t *eb, int cols)
+{
+    for (int r = 0; r < 4; ++r)
+        for (int l = 0; l < cols; ++l)
+            sums[r][l] += scalar::chunkTerm(dots[r][l], ea[r] + eb[l]);
+}
+
+/**
+ * Four rows x 8 * NV columns of chunkTile4 (columns j .. j + cols - 1,
+ * j at a panel start). Per chunk, _mm256_madd_epi16 forms the exact dots
+ * two depths at a time: NV B pair loads per step, each A row's pair
+ * broadcast once. The dots then convert, scale by 2^(ea + eb) built in the
+ * exponent field, and add into FP32 sums that never leave the strip — no
+ * dot store, no separate scale pass. A chunk takes the float path when
+ * every row's ea + eb lies in [-126, 127] (checked once per chunk from the
+ * rows' min and max; see scalar::chunkTerm), otherwise chunkTermsSlow.
+ */
+template <int NV>
+__attribute__((target("avx2"))) inline void
+chunkStrip4(const ChunkTile &t, int j, int cols)
+{
+    constexpr int kPanel = ChunkTile::kPanel;
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i live[NV];
+    for (int v = 0; v < NV; ++v)
+        live[v] = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols - 8 * v), lane);
+    const int pairs = (t.g + 1) / 2;
+    const int64_t chunks = ceilDiv(t.k_depth, t.g);
+    __m256 acc[NV][4];
+    for (int v = 0; v < NV; ++v)
+        for (int r = 0; r < 4; ++r)
+            acc[v][r] = _mm256_setzero_ps();
+    const int32_t *ap = t.a_pairs;
+    const int32_t *ea = t.ea;
+    const int32_t *bp =
+        t.b + j / kPanel * ChunkTile::pairWords(t.k_depth, t.g, kPanel);
+    const int32_t *eb = t.eb + j / kPanel * chunks * kPanel;
+    for (int k0 = 0; k0 < t.k_depth; k0 += t.g, ap += 4 * pairs, ea += 4,
+             bp += pairs * kPanel, eb += kPanel) {
+        const int np = (std::min(t.g, t.k_depth - k0) + 1) / 2;
+        __m256i d[NV][4];
+        for (int v = 0; v < NV; ++v)
+            for (int r = 0; r < 4; ++r)
+                d[v][r] = _mm256_setzero_si256();
+        for (int p = 0; p < np; ++p) {
+            __m256i b[NV];
+            for (int v = 0; v < NV; ++v)
+                b[v] = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(bp + p * kPanel + 8 * v));
             for (int r = 0; r < 4; ++r) {
-                const int32_t ar = a[static_cast<size_t>(r) * lda + k];
-                int32_t *row = acc + static_cast<size_t>(r) * jt;
-                for (int jj = j; jj < jt; ++jj)
-                    row[jj] += ar * b_row[jj];
+                const __m256i a = _mm256_set1_epi32(ap[4 * p + r]);
+                for (int v = 0; v < NV; ++v)
+                    d[v][r] = _mm256_add_epi32(d[v][r],
+                                               _mm256_madd_epi16(a, b[v]));
             }
         }
+
+        const int e_lo =
+            std::min(std::min(ea[0], ea[1]), std::min(ea[2], ea[3]));
+        const int e_hi =
+            std::max(std::max(ea[0], ea[1]), std::max(ea[2], ea[3]));
+        // e_lo + eb + 126 and e_hi + eb + 128 both in [0, 256) for every
+        // live lane: every row's ea + eb is in [-126, 127].
+        const __m256i lo = _mm256_set1_epi32(e_lo + 126);
+        const __m256i hi = _mm256_set1_epi32(e_hi + 128);
+        const __m256i high_bits = _mm256_set1_epi32(~0xff);
+        __m256i ebv[NV];
+        __m256i off = _mm256_setzero_si256();
+        for (int v = 0; v < NV; ++v) {
+            ebv[v] = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(eb + 8 * v));
+            off = _mm256_or_si256(
+                off, _mm256_and_si256(
+                         _mm256_and_si256(
+                             _mm256_or_si256(_mm256_add_epi32(ebv[v], lo),
+                                             _mm256_add_epi32(ebv[v], hi)),
+                             high_bits),
+                         live[v]));
+        }
+        if (_mm256_testz_si256(off, off)) {
+            for (int v = 0; v < NV; ++v) {
+                const __m256i eb_field = _mm256_slli_epi32(ebv[v], 23);
+                for (int r = 0; r < 4; ++r)
+                    acc[v][r] = scaleAdd(acc[v][r], d[v][r], eb_field, ea[r]);
+            }
+        } else {
+            alignas(32) int32_t dots[4][16];
+            alignas(32) float sums[4][16];
+            for (int v = 0; v < NV; ++v)
+                for (int r = 0; r < 4; ++r) {
+                    _mm256_store_si256(
+                        reinterpret_cast<__m256i *>(dots[r] + 8 * v), d[v][r]);
+                    _mm256_store_ps(sums[r] + 8 * v, acc[v][r]);
+                }
+            chunkTermsSlow(dots, sums, ea, eb, cols);
+            for (int v = 0; v < NV; ++v)
+                for (int r = 0; r < 4; ++r)
+                    acc[v][r] = _mm256_load_ps(sums[r] + 8 * v);
+        }
     }
+    for (int r = 0; r < t.rows; ++r)
+        for (int v = 0; v < NV && 8 * v < cols; ++v) {
+            float *out = t.c + r * t.ldc + j + 8 * v;
+            if (cols >= 8 * (v + 1))
+                _mm256_storeu_ps(out, acc[v][r]);
+            else
+                _mm256_maskstore_ps(out, live[v], acc[v][r]);
+        }
+}
+
+/** Sixteen-column strips (one panel each); eight for a short remainder. */
+__attribute__((target("avx2"))) inline void
+chunkTile4(const ChunkTile &t)
+{
+    int j = 0;
+    for (; t.cols - j > 8; j += 16)
+        chunkStrip4<2>(t, j, std::min(16, t.cols - j));
+    if (j < t.cols)
+        chunkStrip4<1>(t, j, t.cols - j);
 }
 
 /** Register-tiled residue panel: 8-column tiles (4 rows x 2 ymm of four
@@ -1339,10 +1544,9 @@ gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
 }
 
 inline void
-gemmPanel4I32I32(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
-                 int kd, int32_t *acc, int jt)
+chunkTile4(const ChunkTile &t)
 {
-    scalar::gemmPanel4I32I32(a, lda, b, ldb, kd, acc, jt);
+    scalar::chunkTile4(t);
 }
 
 inline void
@@ -1560,10 +1764,9 @@ gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
 }
 
 inline void
-gemmPanel4I32I32(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
-                 int kd, int32_t *acc, int jt)
+chunkTile4(const ChunkTile &t)
 {
-    MIRAGE_SIMD_DISPATCH(gemmPanel4I32I32, a, lda, b, ldb, kd, acc, jt);
+    MIRAGE_SIMD_DISPATCH(chunkTile4, t);
 }
 
 inline void

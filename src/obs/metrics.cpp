@@ -24,24 +24,49 @@ namespace {
 /// -1 = uninitialized (read MIRAGE_OBS on first query), else 0/1.
 std::atomic<int> g_enabled{-1};
 
+/** MIRAGE_OBS as parsed, default on; an unknown value warns. */
 bool
-envFlagOff(const char *value)
+envEnabled()
 {
-    if (value == nullptr)
-        return false;
-    return std::strcmp(value, "0") == 0 || std::strcmp(value, "false") == 0 ||
-           std::strcmp(value, "off") == 0;
+    const char *env = std::getenv("MIRAGE_OBS");
+    if (env == nullptr)
+        return true;
+    std::string error;
+    const std::optional<bool> on = parseObsEnv(env, &error);
+    // A typo such as MIRAGE_OBS=of used to leave recording on without a
+    // word. Be loud about it.
+    if (!on)
+        MIRAGE_WARN("ignoring MIRAGE_OBS=\"", env, "\" (", error,
+                    "); metric recording stays on");
+    return on.value_or(true);
 }
 
 } // namespace
+
+std::optional<bool>
+parseObsEnv(const char *value, std::string *error)
+{
+    std::string v = value != nullptr ? value : "";
+    const size_t first = v.find_first_not_of(" \t");
+    v = first == std::string::npos
+            ? ""
+            : v.substr(first, v.find_last_not_of(" \t") - first + 1);
+    if (v == "0" || v == "false" || v == "off")
+        return false;
+    if (v == "1" || v == "true" || v == "on")
+        return true;
+    if (error != nullptr)
+        *error = v.empty() ? "empty value"
+                           : "expected 0/false/off or 1/true/on";
+    return std::nullopt;
+}
 
 bool
 enabled()
 {
     int state = g_enabled.load(std::memory_order_relaxed);
     if (state < 0) {
-        const char *env = std::getenv("MIRAGE_OBS");
-        int init = envFlagOff(env) ? 0 : 1;
+        int init = envEnabled() ? 1 : 0;
         int expected = -1;
         // First caller wins; a concurrent setEnabled() is preserved.
         g_enabled.compare_exchange_strong(expected, init,

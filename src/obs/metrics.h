@@ -22,9 +22,10 @@
  *    instrumentation cannot perturb the determinism contracts.
  *
  * Gating: `obs::enabled()` is initialized from MIRAGE_OBS (default on;
- * "0"/"false"/"off" disable) and can be flipped at runtime with
- * setEnabled(). When off, record calls early-out after a single relaxed
- * atomic load — a few ns, asserted in tests/test_obs.cpp.
+ * "0"/"false"/"off" disable, "1"/"true"/"on" enable, anything else warns
+ * and keeps the default) and can be flipped at runtime with setEnabled().
+ * When off, record calls early-out after a single relaxed atomic load — a
+ * few ns, asserted in tests/test_obs.cpp.
  *
  * Units: histograms and *_ns counters store integer nanoseconds; *_nj
  * counters store integer nanojoules. toNanos() converts the double
@@ -34,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 namespace mirage {
@@ -41,6 +43,15 @@ namespace obs {
 
 /** True when metric recording is on (MIRAGE_OBS, default on). */
 bool enabled();
+
+/**
+ * Parses a MIRAGE_OBS value: "0", "false" or "off" disable recording
+ * (false); "1", "true" or "on" enable it (true). Surrounding blanks are
+ * ignored. Anything else returns nullopt and fills *error (when
+ * non-null). Exposed for unit tests.
+ */
+std::optional<bool> parseObsEnv(const char *value,
+                                std::string *error = nullptr);
 
 /** Flips metric recording at runtime (overrides MIRAGE_OBS). */
 void setEnabled(bool on);

@@ -22,6 +22,7 @@
 #include "common/workspace.h"
 #include "rns/conversion.h"
 #include "rns/modulus.h"
+#include "runtime/thread_pool.h"
 #include "test_support.h"
 
 namespace mirage {
@@ -477,6 +478,40 @@ TEST_F(BfpSeeded, RnsTransparencyWithWideChunkDots)
     opts.moduli = set;
     expectBitIdentical(bfpGemm(a, b, m, k, n, opts),
                        rnsReferenceGemm(a, b, m, k, n, cfg, set), "bm=15");
+}
+
+TEST_F(BfpSeeded, RnsTransparencyAtEveryThreadCount)
+{
+    // bfpGemm splits its multiply into (4-row block x column group) tasks
+    // whose width comes from the shape. M = 1, 8, 9 give a lone row, whole
+    // row blocks and a row tail; N = 1, 9, 72, 4096 a lone column, a
+    // column-panel tail, the skinny weight-gradient width and many column
+    // groups; k = 37 two full chunks and an odd 5-deep one. Every split,
+    // at 1 and 4 threads, must equal the RNS reference.
+    struct ThreadsGuard
+    {
+        ~ThreadsGuard() { runtime::ThreadPool::setGlobalThreads(0); }
+    } guard;
+    const int k = 37;
+    const BfpConfig cfg{4, 16, Rounding::Nearest};
+    const rns::ModuliSet set = mirage::test::paperModuli();
+    BfpGemmOptions opts;
+    opts.config = cfg;
+    opts.moduli = set;
+    for (const int m : {1, 8, 9}) {
+        for (const int n : {1, 9, 72, 4096}) {
+            const auto a = mirage::test::gaussianVector(rng, m * k);
+            const auto b = mirage::test::gaussianVector(rng, k * n);
+            const auto ref = rnsReferenceGemm(a, b, m, k, n, cfg, set);
+            for (const int threads : {1, 4}) {
+                runtime::ThreadPool::setGlobalThreads(threads);
+                expectBitIdentical(bfpGemm(a, b, m, k, n, opts), ref,
+                                   "m=" + std::to_string(m) +
+                                       " n=" + std::to_string(n) +
+                                       " threads=" + std::to_string(threads));
+            }
+        }
+    }
 }
 
 TEST(BfpGemmTest, Eq13BoundaryMatchesRnsReference)

@@ -140,6 +140,24 @@ TEST(ObsCounter, DisabledRecordingDropsOnTheFloor)
     EXPECT_EQ(h.count(), 1u);
 }
 
+TEST(ObsEnv, ParseAcceptsOnlyKnownValues)
+{
+    EXPECT_EQ(obs::parseObsEnv("0"), false);
+    EXPECT_EQ(obs::parseObsEnv("false"), false);
+    EXPECT_EQ(obs::parseObsEnv(" off "), false);
+    EXPECT_EQ(obs::parseObsEnv("1"), true);
+    EXPECT_EQ(obs::parseObsEnv("true"), true);
+    EXPECT_EQ(obs::parseObsEnv("on"), true);
+
+    std::string error;
+    for (const char *bad : {"", "  ", "of", "OFF", "no", "2", "yes", "0,"}) {
+        error.clear();
+        EXPECT_EQ(obs::parseObsEnv(bad, &error), std::nullopt) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
+    }
+    EXPECT_EQ(obs::parseObsEnv(nullptr), std::nullopt);
+}
+
 TEST(ObsGauge, SetAndAddAreLastWriteWins)
 {
     ObsStateGuard guard;

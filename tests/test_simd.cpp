@@ -20,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/simd.h"
@@ -74,6 +76,16 @@ class SimdTest : public mirage::test::SeededTest
     }
 };
 
+/** Byte equality of two float vectors. An empty vector's data() may be
+ *  null, and memcmp's pointers must be valid even for zero bytes. */
+bool
+sameBytes(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
 TEST_F(SimdTest, BackendNameIsKnown)
 {
     const std::string name = simd::backendName();
@@ -116,9 +128,7 @@ TEST_F(SimdTest, AxpysMatchScalarReferenceBitExact)
             auto r_ref = r_vec;
             simd::axpyF32(a, b.data(), r_vec.data(), n);
             simd::scalar::axpyF32(a, b.data(), r_ref.data(), n);
-            EXPECT_EQ(0, std::memcmp(r_vec.data(), r_ref.data(),
-                                     r_vec.size() * sizeof(float)))
-                << "n=" << n << " a=" << a;
+            EXPECT_TRUE(sameBytes(r_vec, r_ref)) << "n=" << n << " a=" << a;
         }
 
         auto r0 = floats(static_cast<size_t>(n)), r1 = r0, r2 = r0, r3 = r0;
@@ -129,9 +139,7 @@ TEST_F(SimdTest, AxpysMatchScalarReferenceBitExact)
                                s1.data(), s2.data(), s3.data(), n);
         for (auto [v, s] : {std::pair{&r0, &s0}, {&r1, &s1}, {&r2, &s2},
                             {&r3, &s3}})
-            EXPECT_EQ(0, std::memcmp(v->data(), s->data(),
-                                     v->size() * sizeof(float)))
-                << "n=" << n;
+            EXPECT_TRUE(sameBytes(*v, *s)) << "n=" << n;
 
         const auto bi = ints(static_cast<size_t>(n), -100000, 100000);
         std::vector<int64_t> iv(static_cast<size_t>(n), 7), ir = iv;
@@ -189,18 +197,6 @@ TEST_F(SimdTest, IntegerPanelKernelsMatchScalarReference)
                                            acc_ref.data(), jt);
             EXPECT_EQ(acc_vec, acc_ref) << "kd=" << kd << " jt=" << jt;
 
-            // |sums| < 33 * 2000^2 fit the int32 panel.
-            std::vector<int32_t> iacc_vec(static_cast<size_t>(4) * jt, 11);
-            auto iacc_ref = iacc_vec;
-            simd::gemmPanel4I32I32(ai.data(), lda, bi.data(), ldb, kd,
-                                   iacc_vec.data(), jt);
-            simd::scalar::gemmPanel4I32I32(ai.data(), lda, bi.data(), ldb, kd,
-                                           iacc_ref.data(), jt);
-            EXPECT_EQ(iacc_vec, iacc_ref) << "kd=" << kd << " jt=" << jt;
-            EXPECT_EQ(std::vector<int64_t>(iacc_ref.begin(), iacc_ref.end()),
-                      acc_ref)
-                << "kd=" << kd << " jt=" << jt;
-
             const auto au =
                 residues(static_cast<size_t>(4) * lda, (1u << 21) - 9);
             const auto bu = residues(
@@ -212,6 +208,162 @@ TEST_F(SimdTest, IntegerPanelKernelsMatchScalarReference)
             simd::scalar::gemmPanel4U64Lo32(au.data(), lda, bu.data(), ldb,
                                             kd, uacc_ref.data(), jt);
             EXPECT_EQ(uacc_vec, uacc_ref) << "kd=" << kd << " jt=" << jt;
+        }
+    }
+}
+
+/**
+ * The fused BFP chunk tile (simd::chunkTile4) against its scalar twin,
+ * byte for byte, and the twin against a plain int64-dot, ldexp-scaled
+ * reference. Every (bm, g) keeps g * 2^(2 bm) <= INT32_MAX, the kernel's
+ * precondition. Depths cover odd and even chunk lengths and kd < g; tiles
+ * cover every rows % 4 and cols % 8 tail. Exponent bases near -126 and
+ * 127 make ea + eb straddle the float-scale range, so ldexp chunks fire;
+ * bm = 11, g = 16 reaches dots of 2^26, past float's exact integers,
+ * which the float path must still scale exactly like ldexp.
+ */
+TEST_F(SimdTest, ChunkTileMatchesScalarTwinByteForByte)
+{
+    struct Config
+    {
+        int bm, g;
+    };
+    int tile_id = 0;
+    for (const Config cfg : {Config{4, 16}, Config{4, 7}, Config{6, 5},
+                             Config{8, 3}, Config{11, 16}, Config{15, 1}}) {
+        ASSERT_LE(int64_t{cfg.g} << (2 * cfg.bm), INT32_MAX);
+        const int32_t q_max = (1 << cfg.bm) - 1;
+        for (const int k_depth :
+             {1, std::max(1, cfg.g - 1), cfg.g, 2 * cfg.g, 3 * cfg.g + 5}) {
+            const int chunks = (k_depth + cfg.g - 1) / cfg.g;
+            const int64_t lda = static_cast<int64_t>(chunks) * cfg.g;
+            for (const int base : {0, -122, 123, -131, 60}) {
+                for (int rows = 1; rows <= 4; ++rows, ++tile_id) {
+                    const int cols = 1 + tile_id % 37;
+                    // Same-sign, near-full-scale mantissas in half the
+                    // tiles, so the dots reach g * 2^(2 bm) with random
+                    // low bits; the other half also pairs two -2^bm.
+                    const bool wide = tile_id % 2 == 0;
+                    auto mant = [&](size_t n) {
+                        std::vector<int32_t> v =
+                            wide ? ints(n, std::max(0, q_max - 64), q_max)
+                                 : ints(n, -q_max - 1, q_max);
+                        if (!wide)
+                            v[0] = -q_max - 1;
+                        return v;
+                    };
+                    std::vector<int32_t> a = mant(4 * lda);
+                    for (int r = 0; r < 4; ++r) // A's zero padding
+                        for (int64_t t = k_depth; t < lda; ++t)
+                            a[r * lda + t] = 0;
+                    const std::vector<int32_t> b =
+                        mant(static_cast<size_t>(k_depth) * cols);
+                    // ea = exps_a - 2 bm in base +- 6, ea + eb in
+                    // base +- 12.
+                    const std::vector<int32_t> exps_a =
+                        ints(static_cast<size_t>(4) * chunks,
+                             base + 2 * cfg.bm - 6, base + 2 * cfg.bm + 6);
+                    const std::vector<int32_t> eb =
+                        ints(static_cast<size_t>(chunks) * cols, -6, 6);
+
+                    // ChunkTile's layouts, built from its contract.
+                    const int pairs = (cfg.g + 1) / 2;
+                    const int panel = simd::ChunkTile::kPanel;
+                    const int panels = (cols + panel - 1) / panel;
+                    auto pair = [&](auto depth, int ch, int p) {
+                        const int t = ch * cfg.g + 2 * p;
+                        const int end = std::min(k_depth, (ch + 1) * cfg.g);
+                        const uint32_t lo = static_cast<uint32_t>(depth(t));
+                        const uint32_t hi =
+                            t + 1 < end ? static_cast<uint32_t>(depth(t + 1))
+                                        : 0;
+                        return static_cast<int32_t>((lo & 0xffffu) |
+                                                    (hi << 16));
+                    };
+                    std::vector<int32_t> a_pairs(
+                        static_cast<size_t>(chunks) * pairs * 4, 0);
+                    std::vector<int32_t> ea(static_cast<size_t>(chunks) * 4);
+                    std::vector<int32_t> b_pairs(
+                        static_cast<size_t>(panels) * chunks * pairs * panel,
+                        0);
+                    std::vector<int32_t> eb_panels(
+                        static_cast<size_t>(panels) * chunks * panel, 0);
+                    for (int ch = 0; ch < chunks; ++ch) {
+                        const int kd =
+                            std::min(cfg.g, k_depth - ch * cfg.g);
+                        for (int r = 0; r < 4; ++r) {
+                            ea[ch * 4 + r] =
+                                exps_a[std::min(r, rows - 1) * chunks + ch] -
+                                2 * cfg.bm;
+                            for (int p = 0; 2 * p < kd && r < rows; ++p)
+                                a_pairs[(ch * pairs + p) * 4 + r] = pair(
+                                    [&](int t) { return a[r * lda + t]; }, ch,
+                                    p);
+                        }
+                        for (int j = 0; j < cols; ++j) {
+                            const size_t at = static_cast<size_t>(j / panel) *
+                                                  chunks * panel +
+                                              ch * panel + j % panel;
+                            eb_panels[at] = eb[ch * cols + j];
+                            for (int p = 0; 2 * p < kd; ++p)
+                                b_pairs[static_cast<size_t>(j / panel) *
+                                            chunks * pairs * panel +
+                                        (ch * pairs + p) * panel +
+                                        j % panel] =
+                                    pair([&](int t) { return b[t * cols + j]; },
+                                         ch, p);
+                        }
+                    }
+
+                    const int64_t ldc = cols + 3;
+                    std::vector<float> c_vec(4 * ldc,
+                                             std::bit_cast<float>(0x7fc01234u));
+                    auto c_ref = c_vec;
+                    simd::ChunkTile tile{a_pairs.data(),
+                                         ea.data(),
+                                         b_pairs.data(),
+                                         eb_panels.data(),
+                                         k_depth,
+                                         cfg.g,
+                                         c_vec.data(),
+                                         ldc,
+                                         rows,
+                                         cols};
+                    simd::chunkTile4(tile);
+                    tile.c = c_ref.data();
+                    simd::scalar::chunkTile4(tile);
+                    const std::string what =
+                        "bm=" + std::to_string(cfg.bm) + " g=" +
+                        std::to_string(cfg.g) + " k=" +
+                        std::to_string(k_depth) + " base=" +
+                        std::to_string(base) + " rows=" +
+                        std::to_string(rows) + " cols=" + std::to_string(cols);
+                    ASSERT_TRUE(sameBytes(c_vec, c_ref)) << what;
+
+                    // The twin itself: int64 dots, ldexp scale, FP32 sum.
+                    for (int r = 0; r < rows; ++r)
+                        for (int j = 0; j < cols; ++j) {
+                            float acc = 0.0f;
+                            for (int ch = 0; ch < chunks; ++ch) {
+                                int64_t dot = 0;
+                                for (int t = ch * cfg.g;
+                                     t < std::min(k_depth, (ch + 1) * cfg.g);
+                                     ++t)
+                                    dot += int64_t{a[r * lda + t]} *
+                                           b[static_cast<size_t>(t) * cols + j];
+                                acc += static_cast<float>(std::ldexp(
+                                    static_cast<double>(dot),
+                                    exps_a[r * chunks + ch] - 2 * cfg.bm +
+                                        eb[static_cast<size_t>(ch) * cols +
+                                           j]));
+                            }
+                            ASSERT_EQ(std::bit_cast<uint32_t>(acc),
+                                      std::bit_cast<uint32_t>(
+                                          c_ref[r * ldc + j]))
+                                << what << " r=" << r << " j=" << j;
+                        }
+                }
+            }
         }
     }
 }
