@@ -13,7 +13,7 @@ Floors are opt-in, mirroring check_regression.py's --counter-min style:
   check_fidelity.py report.json \
       [--min-probes N]        total shadow probes recorded
   [--min-layers N]            distinct instrumented layer labels
-      [--min-rns-checks N]    modularDot/bfpGemm margin observations
+      [--min-rns-checks N]    bfpGemm RNS margin observations
       [--min-margin BITS]     worst-case RNS overflow margin floor
       [--min-bfp-groups N]    BFP groups encoded
       [--min-drift-alerts N]  fidelity drift alerts raised
@@ -44,8 +44,7 @@ def check_structure(doc):
         return False
 
     rns = doc["rns"]
-    for key in ("dot_checks", "overflow_margin_min", "overflow_risk",
-                "reduced_fallbacks"):
+    for key in ("dot_checks", "overflow_margin_min", "overflow_risk"):
         if key not in rns:
             ok = fail(f"missing rns.{key}")
     margin = rns.get("overflow_margin_min")

@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark micro suites for the numeric kernels: RNS conversion,
- * modular GEMM, BFP encode + GEMM, and the functional photonic pipeline.
+ * BFP encode + GEMM, and the functional photonic pipeline.
  * These measure the *simulator's* software throughput (useful when sizing
  * experiments), not the modeled hardware.
  */
@@ -16,7 +16,6 @@
 #include "nn/tensor.h"
 #include "numerics/quantized_gemm.h"
 #include "photonic/mmvmu.h"
-#include "rns/modular_gemm.h"
 #include "rns/special_converter.h"
 
 namespace {
@@ -54,25 +53,6 @@ BM_RnsReverseConversion(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_RnsReverseConversion);
-
-void
-BM_ModularGemm(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    Rng rng(3);
-    std::vector<rns::Residue> a(static_cast<size_t>(n) * n),
-        b(static_cast<size_t>(n) * n), c;
-    for (auto &v : a)
-        v = rng.uniformInt(0, 30);
-    for (auto &v : b)
-        v = rng.uniformInt(0, 30);
-    for (auto _ : state) {
-        rns::modularGemm(a, b, c, n, n, n, 31);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * int64_t{n} * n * n);
-}
-BENCHMARK(BM_ModularGemm)->Arg(32)->Arg(64)->Arg(256);
 
 /// A train_resnet im2col operand: K = 72 (8 channels x 3x3) by N = 4096;
 /// the stem's is K = 9 (1 channel x 3x3).

@@ -15,9 +15,8 @@
  * bfpGemm therefore computes the exact integer dot directly — int16
  * mantissa pairs through the fused simd::chunkTile4 kernel, or int64 panel
  * GEMMs when a dot can exceed int32 — and rejects sets that fail Eq. (13).
- * Residue arithmetic itself is exercised by rns::modularGemm, by
- * PhotonicBackend over photonic::RnsMmvmu, and by the RNS reference in
- * tests/test_bfp.cpp.
+ * Residue arithmetic itself is exercised by PhotonicBackend over
+ * photonic::RnsMmvmu and by the RNS reference in tests/test_bfp.cpp.
  */
 
 #include <cstdint>

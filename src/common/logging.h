@@ -140,7 +140,7 @@ panic(const char *file, int line, Args &&...args)
 
 /**
  * Debug-build-only assertion for checks too expensive for release hot
- * loops (e.g. per-call overflow-bound proofs in modularDot). Compiled out
+ * loops (e.g. per-bucket index checks in metric histograms). Compiled out
  * under NDEBUG; the condition must be side-effect free.
  */
 #ifdef NDEBUG

@@ -4,17 +4,17 @@
 /**
  * @file
  * Portable data-level parallelism for the panel kernels: a small dispatch
- * layer over AVX2 (x86-64), NEON (aarch64), and a scalar fallback.
+ * layer over AVX2 (x86-64) and a scalar fallback.
  *
  * Every operation here is **bit-identical to its scalar reference**:
  *
- * - The integer dots and axpys are exact 64-bit arithmetic (the int32
- *   panel is exact int32 arithmetic under its caller's bound), so lane
- *   order cannot change the result.
- * - The FP32 axpys perform one IEEE multiply followed by one IEEE add per
- *   element — the same two roundings, in the same per-element order, as
- *   the scalar loop. No FMA contraction is used (the AVX2 bodies are
- *   compiled with target("avx2") only, so the compiler cannot fuse), and
+ * - The integer axpy and panel are exact 64-bit arithmetic, so lane order
+ *   cannot change the result.
+ * - The FP32 axpy and panel perform one IEEE multiply followed by one
+ *   IEEE add per element — the same two roundings, in the same
+ *   per-element order, as the scalar loop. No FMA contraction is used
+ *   (the AVX2 bodies are compiled with target("avx2") only, so the
+ *   compiler cannot fuse), and
  *   each output element's accumulation chain is untouched: lanes map to
  *   distinct output columns, never to partial sums of one element.
  * - The BFP quantize core (quantizeRow/quantizeCols) rounds exact
@@ -34,10 +34,10 @@
  *
  * Dispatch: on x86-64 the AVX2 bodies are compiled as target("avx2")
  * functions and selected at runtime via __builtin_cpu_supports, so the
- * build needs no -mavx2 and the binary stays safe on pre-AVX2 hosts. On
- * aarch64 NEON is baseline. Set MIRAGE_SIMD=scalar (or off, 0) to force the
- * scalar reference — results are identical either way; the switch exists
- * for benchmarking the vector speedup and for debugging.
+ * build needs no -mavx2 and the binary stays safe on pre-AVX2 hosts. Other
+ * hosts run the scalar reference. Set MIRAGE_SIMD=scalar (or off, 0) to
+ * force the scalar reference — results are identical either way; the
+ * switch exists for benchmarking the vector speedup and for debugging.
  */
 
 #include <algorithm>
@@ -53,9 +53,6 @@
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MIRAGE_SIMD_AVX2 1
 #include <immintrin.h>
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define MIRAGE_SIMD_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace mirage {
@@ -147,39 +144,6 @@ packChunkPairs(const int32_t *src, int64_t ld_lane, int64_t ld_depth,
 
 namespace scalar {
 
-/** Exact signed dot: sum of int32*int32 products in int64. */
-inline int64_t
-dotI32I64(const int32_t *a, const int32_t *b, int n)
-{
-    int64_t sum = 0;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<int64_t>(a[i]) * b[i];
-    return sum;
-}
-
-/** Exact unsigned dot: sum of uint32*uint32 products in uint64. The caller
- *  guarantees the raw accumulation cannot overflow (values < 2^21 and
- *  n < 2^22 in the BFP/RNS path). */
-inline uint64_t
-dotU32U64(const uint32_t *a, const uint32_t *b, int n)
-{
-    uint64_t sum = 0;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<uint64_t>(a[i]) * b[i];
-    return sum;
-}
-
-/** Exact dot of uint64 arrays whose values fit in 32 bits (residues).
- *  The caller guarantees the raw accumulation cannot overflow. */
-inline uint64_t
-dotU64Lo32(const uint64_t *a, const uint64_t *b, int n)
-{
-    uint64_t sum = 0;
-    for (int i = 0; i < n; ++i)
-        sum += a[i] * b[i];
-    return sum;
-}
-
 /** r[j] += a * b[j] (one multiply, one add per element). */
 inline void
 axpyF32(float a, const float *b, float *r, int n)
@@ -188,64 +152,12 @@ axpyF32(float a, const float *b, float *r, int n)
         r[j] += a * b[j];
 }
 
-/** Four-row FP32 axpy sharing every b[j] load. */
-inline void
-axpy4F32(float a0, float a1, float a2, float a3, const float *b, float *r0,
-         float *r1, float *r2, float *r3, int n)
-{
-    for (int j = 0; j < n; ++j) {
-        const float bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
-}
-
 /** r[j] += (int64)a * b[j] over int32 operands into an int64 panel. */
 inline void
 axpyI32I64(int32_t a, const int32_t *b, int64_t *r, int n)
 {
     for (int j = 0; j < n; ++j)
         r[j] += static_cast<int64_t>(a) * b[j];
-}
-
-/** Four-row int32->int64 axpy sharing every b[j] load. */
-inline void
-axpy4I32I64(int32_t a0, int32_t a1, int32_t a2, int32_t a3, const int32_t *b,
-            int64_t *r0, int64_t *r1, int64_t *r2, int64_t *r3, int n)
-{
-    for (int j = 0; j < n; ++j) {
-        const int64_t bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
-}
-
-/** r[j] += a * b[j] over uint64 values that fit in 32 bits; exact as long
- *  as the caller's reduction cadence bounds the raw accumulation. */
-inline void
-axpyU64Lo32(uint64_t a, const uint64_t *b, uint64_t *r, int n)
-{
-    for (int j = 0; j < n; ++j)
-        r[j] += a * b[j];
-}
-
-/** Four-row uint64(lo32) axpy sharing every b[j] load. */
-inline void
-axpy4U64Lo32(uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3,
-             const uint64_t *b, uint64_t *r0, uint64_t *r1, uint64_t *r2,
-             uint64_t *r3, int n)
-{
-    for (int j = 0; j < n; ++j) {
-        const uint64_t bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
 }
 
 /**
@@ -360,26 +272,6 @@ chunkTile4(const ChunkTile &t)
         }
         for (int r = 0; r < t.rows; ++r)
             std::copy(acc[r], acc[r] + cols, t.c + r * t.ldc + j0);
-    }
-}
-
-/** Residue panel twin of gemmPanel4F32: uint64 values that fit in 32 bits,
- *  raw (unreduced) accumulation — the caller bounds kd so sums cannot
- *  overflow, and reduces between calls. */
-inline void
-gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
-                  int64_t ldb, int kd, uint64_t *acc, int jt)
-{
-    for (int k = 0; k < kd; ++k) {
-        const uint64_t *b_row = b + static_cast<size_t>(k) * ldb;
-        for (int r = 0; r < 4; ++r) {
-            const uint64_t ar = a[static_cast<size_t>(r) * lda + k];
-            if (ar == 0)
-                continue;
-            uint64_t *row = acc + static_cast<size_t>(r) * jt;
-            for (int j = 0; j < jt; ++j)
-                row[j] += ar * b_row[j];
-        }
     }
 }
 
@@ -523,69 +415,6 @@ quantizeCols(const float *v, int64_t ldv, int rows, int cols,
 
 namespace avx2 {
 
-__attribute__((target("avx2"))) inline int64_t
-dotI32I64(const int32_t *a, const int32_t *b, int n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        // Sign-extend 4 x i32 to the low halves of 4 x i64 lanes;
-        // _mm256_mul_epi32 multiplies those low halves into full i64.
-        const __m256i av = _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + i)));
-        const __m256i bv = _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + i)));
-        acc = _mm256_add_epi64(acc, _mm256_mul_epi32(av, bv));
-    }
-    alignas(32) int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += static_cast<int64_t>(a[i]) * b[i];
-    return sum;
-}
-
-__attribute__((target("avx2"))) inline uint64_t
-dotU32U64(const uint32_t *a, const uint32_t *b, int n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i av = _mm256_cvtepu32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + i)));
-        const __m256i bv = _mm256_cvtepu32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + i)));
-        acc = _mm256_add_epi64(acc, _mm256_mul_epu32(av, bv));
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += static_cast<uint64_t>(a[i]) * b[i];
-    return sum;
-}
-
-__attribute__((target("avx2"))) inline uint64_t
-dotU64Lo32(const uint64_t *a, const uint64_t *b, int n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        // Values fit in 32 bits, so multiplying the low halves is exact.
-        const __m256i av =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i));
-        const __m256i bv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + i));
-        acc = _mm256_add_epi64(acc, _mm256_mul_epu32(av, bv));
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for (; i < n; ++i)
-        sum += a[i] * b[i];
-    return sum;
-}
-
 __attribute__((target("avx2"))) inline void
 axpyF32(float a, const float *b, float *r, int n)
 {
@@ -599,35 +428,6 @@ axpyF32(float a, const float *b, float *r, int n)
     }
     for (; j < n; ++j)
         r[j] += a * b[j];
-}
-
-__attribute__((target("avx2"))) inline void
-axpy4F32(float a0, float a1, float a2, float a3, const float *b, float *r0,
-         float *r1, float *r2, float *r3, int n)
-{
-    const __m256 a0v = _mm256_set1_ps(a0);
-    const __m256 a1v = _mm256_set1_ps(a1);
-    const __m256 a2v = _mm256_set1_ps(a2);
-    const __m256 a3v = _mm256_set1_ps(a3);
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 bv = _mm256_loadu_ps(b + j);
-        _mm256_storeu_ps(r0 + j, _mm256_add_ps(_mm256_loadu_ps(r0 + j),
-                                               _mm256_mul_ps(a0v, bv)));
-        _mm256_storeu_ps(r1 + j, _mm256_add_ps(_mm256_loadu_ps(r1 + j),
-                                               _mm256_mul_ps(a1v, bv)));
-        _mm256_storeu_ps(r2 + j, _mm256_add_ps(_mm256_loadu_ps(r2 + j),
-                                               _mm256_mul_ps(a2v, bv)));
-        _mm256_storeu_ps(r3 + j, _mm256_add_ps(_mm256_loadu_ps(r3 + j),
-                                               _mm256_mul_ps(a3v, bv)));
-    }
-    for (; j < n; ++j) {
-        const float bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
 }
 
 __attribute__((target("avx2"))) inline void
@@ -645,92 +445,6 @@ axpyI32I64(int32_t a, const int32_t *b, int64_t *r, int n)
     }
     for (; j < n; ++j)
         r[j] += static_cast<int64_t>(a) * b[j];
-}
-
-__attribute__((target("avx2"))) inline void
-axpy4I32I64(int32_t a0, int32_t a1, int32_t a2, int32_t a3, const int32_t *b,
-            int64_t *r0, int64_t *r1, int64_t *r2, int64_t *r3, int n)
-{
-    const __m256i a0v = _mm256_set1_epi64x(a0);
-    const __m256i a1v = _mm256_set1_epi64x(a1);
-    const __m256i a2v = _mm256_set1_epi64x(a2);
-    const __m256i a3v = _mm256_set1_epi64x(a3);
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i bv = _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + j)));
-        __m256i rv = _mm256_loadu_si256(reinterpret_cast<__m256i *>(r0 + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r0 + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epi32(a0v, bv)));
-        rv = _mm256_loadu_si256(reinterpret_cast<__m256i *>(r1 + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r1 + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epi32(a1v, bv)));
-        rv = _mm256_loadu_si256(reinterpret_cast<__m256i *>(r2 + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r2 + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epi32(a2v, bv)));
-        rv = _mm256_loadu_si256(reinterpret_cast<__m256i *>(r3 + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r3 + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epi32(a3v, bv)));
-    }
-    for (; j < n; ++j) {
-        const int64_t bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
-}
-
-__attribute__((target("avx2"))) inline void
-axpyU64Lo32(uint64_t a, const uint64_t *b, uint64_t *r, int n)
-{
-    const __m256i av = _mm256_set1_epi64x(static_cast<int64_t>(a));
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i bv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + j));
-        const __m256i rv =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(r + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epu32(av, bv)));
-    }
-    for (; j < n; ++j)
-        r[j] += a * b[j];
-}
-
-__attribute__((target("avx2"))) inline void
-axpy4U64Lo32(uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3,
-             const uint64_t *b, uint64_t *r0, uint64_t *r1, uint64_t *r2,
-             uint64_t *r3, int n)
-{
-    const __m256i a0v = _mm256_set1_epi64x(static_cast<int64_t>(a0));
-    const __m256i a1v = _mm256_set1_epi64x(static_cast<int64_t>(a1));
-    const __m256i a2v = _mm256_set1_epi64x(static_cast<int64_t>(a2));
-    const __m256i a3v = _mm256_set1_epi64x(static_cast<int64_t>(a3));
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i bv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + j));
-        __m256i rv = _mm256_loadu_si256(reinterpret_cast<__m256i *>(r0 + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r0 + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epu32(a0v, bv)));
-        rv = _mm256_loadu_si256(reinterpret_cast<__m256i *>(r1 + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r1 + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epu32(a1v, bv)));
-        rv = _mm256_loadu_si256(reinterpret_cast<__m256i *>(r2 + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r2 + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epu32(a2v, bv)));
-        rv = _mm256_loadu_si256(reinterpret_cast<__m256i *>(r3 + j));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(r3 + j),
-                            _mm256_add_epi64(rv, _mm256_mul_epu32(a3v, bv)));
-    }
-    for (; j < n; ++j) {
-        const uint64_t bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
 }
 
 /**
@@ -1033,92 +747,6 @@ chunkTile4(const ChunkTile &t)
         chunkStrip4<1>(t, j, t.cols - j);
 }
 
-/** Register-tiled residue panel: 8-column tiles (4 rows x 2 ymm of four
- *  u64 lanes), 32x32->64 lane products. Exact — the caller bounds kd so
- *  raw sums cannot overflow and reduces between calls. */
-__attribute__((target("avx2"))) inline void
-gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
-                  int64_t ldb, int kd, uint64_t *acc, int jt)
-{
-    const uint64_t *a0 = a;
-    const uint64_t *a1 = a + lda;
-    const uint64_t *a2 = a + 2 * lda;
-    const uint64_t *a3 = a + 3 * lda;
-    uint64_t *acc1 = acc + jt;
-    uint64_t *acc2 = acc + 2 * jt;
-    uint64_t *acc3 = acc + 3 * jt;
-    int j = 0;
-    for (; j + 8 <= jt; j += 8) {
-        __m256i c00 = _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc + j));
-        __m256i c01 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc + j + 4));
-        __m256i c10 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc1 + j));
-        __m256i c11 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc1 + j + 4));
-        __m256i c20 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc2 + j));
-        __m256i c21 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc2 + j + 4));
-        __m256i c30 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc3 + j));
-        __m256i c31 =
-            _mm256_loadu_si256(reinterpret_cast<__m256i *>(acc3 + j + 4));
-        for (int k = 0; k < kd; ++k) {
-            const uint64_t *b_row = b + static_cast<size_t>(k) * ldb + j;
-            const __m256i b0 =
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b_row));
-            const __m256i b1 = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(b_row + 4));
-            if (a0[k] != 0) {
-                const __m256i av =
-                    _mm256_set1_epi64x(static_cast<int64_t>(a0[k]));
-                c00 = _mm256_add_epi64(c00, _mm256_mul_epu32(av, b0));
-                c01 = _mm256_add_epi64(c01, _mm256_mul_epu32(av, b1));
-            }
-            if (a1[k] != 0) {
-                const __m256i av =
-                    _mm256_set1_epi64x(static_cast<int64_t>(a1[k]));
-                c10 = _mm256_add_epi64(c10, _mm256_mul_epu32(av, b0));
-                c11 = _mm256_add_epi64(c11, _mm256_mul_epu32(av, b1));
-            }
-            if (a2[k] != 0) {
-                const __m256i av =
-                    _mm256_set1_epi64x(static_cast<int64_t>(a2[k]));
-                c20 = _mm256_add_epi64(c20, _mm256_mul_epu32(av, b0));
-                c21 = _mm256_add_epi64(c21, _mm256_mul_epu32(av, b1));
-            }
-            if (a3[k] != 0) {
-                const __m256i av =
-                    _mm256_set1_epi64x(static_cast<int64_t>(a3[k]));
-                c30 = _mm256_add_epi64(c30, _mm256_mul_epu32(av, b0));
-                c31 = _mm256_add_epi64(c31, _mm256_mul_epu32(av, b1));
-            }
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j), c00);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j + 4), c01);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc1 + j), c10);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc1 + j + 4), c11);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc2 + j), c20);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc2 + j + 4), c21);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc3 + j), c30);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc3 + j + 4), c31);
-    }
-    if (j < jt) {
-        for (int k = 0; k < kd; ++k) {
-            const uint64_t *b_row = b + static_cast<size_t>(k) * ldb;
-            for (int r = 0; r < 4; ++r) {
-                const uint64_t ar = a[static_cast<size_t>(r) * lda + k];
-                if (ar == 0)
-                    continue;
-                uint64_t *row = acc + static_cast<size_t>(r) * jt;
-                for (int jj = j; jj < jt; ++jj)
-                    row[jj] += ar * b_row[jj];
-            }
-        }
-    }
-}
-
 /** 8 x 8 tile transpose in registers: unpack, shuffle, lane swap. */
 __attribute__((target("avx2"))) inline void
 transpose8x8F32(const float *src, int64_t lds, float *dst, int64_t ldd)
@@ -1321,279 +949,13 @@ quantizeCols(const float *v, int64_t ldv, int rows, int cols,
 
 } // namespace avx2
 
+#else
+
+// Without AVX2, detail::vectorEnabled() is false, so the dispatch never
+// takes its vector branch; the alias only lets that one form compile.
+namespace avx2 = scalar;
+
 #endif // MIRAGE_SIMD_AVX2
-
-// ---------------------------------------------------------------------------
-// NEON bodies (aarch64 baseline — no runtime check needed).
-// ---------------------------------------------------------------------------
-
-#if defined(MIRAGE_SIMD_NEON)
-
-namespace neon {
-
-inline int64_t
-dotI32I64(const int32_t *a, const int32_t *b, int n)
-{
-    int64x2_t acc = vdupq_n_s64(0);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const int32x4_t av = vld1q_s32(a + i);
-        const int32x4_t bv = vld1q_s32(b + i);
-        acc = vaddq_s64(acc, vmull_s32(vget_low_s32(av), vget_low_s32(bv)));
-        acc = vaddq_s64(acc, vmull_high_s32(av, bv));
-    }
-    int64_t sum = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-    for (; i < n; ++i)
-        sum += static_cast<int64_t>(a[i]) * b[i];
-    return sum;
-}
-
-inline uint64_t
-dotU32U64(const uint32_t *a, const uint32_t *b, int n)
-{
-    uint64x2_t acc = vdupq_n_u64(0);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const uint32x4_t av = vld1q_u32(a + i);
-        const uint32x4_t bv = vld1q_u32(b + i);
-        acc = vaddq_u64(acc, vmull_u32(vget_low_u32(av), vget_low_u32(bv)));
-        acc = vaddq_u64(acc, vmull_high_u32(av, bv));
-    }
-    uint64_t sum = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-    for (; i < n; ++i)
-        sum += static_cast<uint64_t>(a[i]) * b[i];
-    return sum;
-}
-
-inline uint64_t
-dotU64Lo32(const uint64_t *a, const uint64_t *b, int n)
-{
-    // Narrow each 64-bit residue to 32 bits (exact: values < 2^32), then
-    // widen-multiply back to 64.
-    uint64_t sum = 0;
-    int i = 0;
-    uint64x2_t acc = vdupq_n_u64(0);
-    for (; i + 2 <= n; i += 2) {
-        const uint32x2_t av = vmovn_u64(vld1q_u64(a + i));
-        const uint32x2_t bv = vmovn_u64(vld1q_u64(b + i));
-        acc = vaddq_u64(acc, vmull_u32(av, bv));
-    }
-    sum = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-    for (; i < n; ++i)
-        sum += a[i] * b[i];
-    return sum;
-}
-
-inline void
-axpyF32(float a, const float *b, float *r, int n)
-{
-    const float32x4_t av = vdupq_n_f32(a);
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        // vaddq + vmulq (not vfmaq): one multiply rounding + one add
-        // rounding, matching the scalar reference exactly.
-        vst1q_f32(r + j,
-                  vaddq_f32(vld1q_f32(r + j), vmulq_f32(av, vld1q_f32(b + j))));
-    }
-    for (; j < n; ++j)
-        r[j] += a * b[j];
-}
-
-inline void
-axpy4F32(float a0, float a1, float a2, float a3, const float *b, float *r0,
-         float *r1, float *r2, float *r3, int n)
-{
-    const float32x4_t a0v = vdupq_n_f32(a0);
-    const float32x4_t a1v = vdupq_n_f32(a1);
-    const float32x4_t a2v = vdupq_n_f32(a2);
-    const float32x4_t a3v = vdupq_n_f32(a3);
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const float32x4_t bv = vld1q_f32(b + j);
-        vst1q_f32(r0 + j, vaddq_f32(vld1q_f32(r0 + j), vmulq_f32(a0v, bv)));
-        vst1q_f32(r1 + j, vaddq_f32(vld1q_f32(r1 + j), vmulq_f32(a1v, bv)));
-        vst1q_f32(r2 + j, vaddq_f32(vld1q_f32(r2 + j), vmulq_f32(a2v, bv)));
-        vst1q_f32(r3 + j, vaddq_f32(vld1q_f32(r3 + j), vmulq_f32(a3v, bv)));
-    }
-    for (; j < n; ++j) {
-        const float bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
-}
-
-inline void
-axpyI32I64(int32_t a, const int32_t *b, int64_t *r, int n)
-{
-    const int32x2_t av = vdup_n_s32(a);
-    int j = 0;
-    for (; j + 2 <= n; j += 2) {
-        const int32x2_t bv = vld1_s32(b + j);
-        vst1q_s64(r + j, vaddq_s64(vld1q_s64(r + j), vmull_s32(av, bv)));
-    }
-    for (; j < n; ++j)
-        r[j] += static_cast<int64_t>(a) * b[j];
-}
-
-inline void
-axpy4I32I64(int32_t a0, int32_t a1, int32_t a2, int32_t a3, const int32_t *b,
-            int64_t *r0, int64_t *r1, int64_t *r2, int64_t *r3, int n)
-{
-    for (int j = 0; j < n; ++j) {
-        const int64_t bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
-}
-
-inline void
-axpyU64Lo32(uint64_t a, const uint64_t *b, uint64_t *r, int n)
-{
-    const uint32x2_t av = vdup_n_u32(static_cast<uint32_t>(a));
-    int j = 0;
-    for (; j + 2 <= n; j += 2) {
-        const uint32x2_t bv = vmovn_u64(vld1q_u64(b + j));
-        vst1q_u64(r + j, vaddq_u64(vld1q_u64(r + j), vmull_u32(av, bv)));
-    }
-    for (; j < n; ++j)
-        r[j] += a * b[j];
-}
-
-inline void
-axpy4U64Lo32(uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3,
-             const uint64_t *b, uint64_t *r0, uint64_t *r1, uint64_t *r2,
-             uint64_t *r3, int n)
-{
-    const uint32x2_t a0v = vdup_n_u32(static_cast<uint32_t>(a0));
-    const uint32x2_t a1v = vdup_n_u32(static_cast<uint32_t>(a1));
-    const uint32x2_t a2v = vdup_n_u32(static_cast<uint32_t>(a2));
-    const uint32x2_t a3v = vdup_n_u32(static_cast<uint32_t>(a3));
-    int j = 0;
-    for (; j + 2 <= n; j += 2) {
-        const uint32x2_t bv = vmovn_u64(vld1q_u64(b + j));
-        vst1q_u64(r0 + j, vaddq_u64(vld1q_u64(r0 + j), vmull_u32(a0v, bv)));
-        vst1q_u64(r1 + j, vaddq_u64(vld1q_u64(r1 + j), vmull_u32(a1v, bv)));
-        vst1q_u64(r2 + j, vaddq_u64(vld1q_u64(r2 + j), vmull_u32(a2v, bv)));
-        vst1q_u64(r3 + j, vaddq_u64(vld1q_u64(r3 + j), vmull_u32(a3v, bv)));
-    }
-    for (; j < n; ++j) {
-        const uint64_t bv = b[j];
-        r0[j] += a0 * bv;
-        r1[j] += a1 * bv;
-        r2[j] += a2 * bv;
-        r3[j] += a3 * bv;
-    }
-}
-
-/** Register-tiled FP32 panel (see the avx2 twin for the rationale):
- *  8-column tiles, 4 rows x 2 q-regs held across the k loop. vmul + vadd,
- *  never vfma, to stay bit-identical to the scalar reference. */
-inline void
-gemmPanel4F32(const float *a, int64_t lda, const float *b, int64_t ldb,
-              int kd, float *acc, int jt)
-{
-    int j = 0;
-    for (; j + 8 <= jt; j += 8) {
-        float32x4_t c[4][2];
-        for (int r = 0; r < 4; ++r) {
-            c[r][0] = vld1q_f32(acc + static_cast<size_t>(r) * jt + j);
-            c[r][1] = vld1q_f32(acc + static_cast<size_t>(r) * jt + j + 4);
-        }
-        for (int k = 0; k < kd; ++k) {
-            const float *b_row = b + static_cast<size_t>(k) * ldb + j;
-            const float32x4_t b0 = vld1q_f32(b_row);
-            const float32x4_t b1 = vld1q_f32(b_row + 4);
-            for (int r = 0; r < 4; ++r) {
-                const float ar = a[static_cast<size_t>(r) * lda + k];
-                if (ar == 0.0f)
-                    continue;
-                const float32x4_t av = vdupq_n_f32(ar);
-                c[r][0] = vaddq_f32(c[r][0], vmulq_f32(av, b0));
-                c[r][1] = vaddq_f32(c[r][1], vmulq_f32(av, b1));
-            }
-        }
-        for (int r = 0; r < 4; ++r) {
-            vst1q_f32(acc + static_cast<size_t>(r) * jt + j, c[r][0]);
-            vst1q_f32(acc + static_cast<size_t>(r) * jt + j + 4, c[r][1]);
-        }
-    }
-    if (j < jt) {
-        for (int k = 0; k < kd; ++k) {
-            const float *b_row = b + static_cast<size_t>(k) * ldb;
-            for (int r = 0; r < 4; ++r) {
-                const float ar = a[static_cast<size_t>(r) * lda + k];
-                if (ar == 0.0f)
-                    continue;
-                float *row = acc + static_cast<size_t>(r) * jt;
-                for (int jj = j; jj < jt; ++jj)
-                    row[jj] += ar * b_row[jj];
-            }
-        }
-    }
-}
-
-inline void
-gemmPanel4I32I64(const int32_t *a, int64_t lda, const int32_t *b, int64_t ldb,
-                 int kd, int64_t *acc, int jt)
-{
-    scalar::gemmPanel4I32I64(a, lda, b, ldb, kd, acc, jt);
-}
-
-inline void
-chunkTile4(const ChunkTile &t)
-{
-    scalar::chunkTile4(t);
-}
-
-inline void
-gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
-                  int64_t ldb, int kd, uint64_t *acc, int jt)
-{
-    scalar::gemmPanel4U64Lo32(a, lda, b, ldb, kd, acc, jt);
-}
-
-inline void
-transpose8x8F32(const float *src, int64_t lds, float *dst, int64_t ldd)
-{
-    scalar::transpose8x8F32(src, lds, dst, ldd);
-}
-
-inline uint32_t
-maxMagnitude(const float *v, int n)
-{
-    return scalar::maxMagnitude(v, n);
-}
-
-inline void
-maxMagnitudeCols(const float *v, int64_t ldv, int rows, int cols,
-                 uint32_t *max_bits)
-{
-    scalar::maxMagnitudeCols(v, ldv, rows, cols, max_bits);
-}
-
-inline int32_t
-quantizeRow(const float *v, int n, int shift, int32_t q_max, bool nearest,
-            int32_t *q)
-{
-    return scalar::quantizeRow(v, n, shift, q_max, nearest, q);
-}
-
-inline void
-quantizeCols(const float *v, int64_t ldv, int rows, int cols,
-             const int32_t *shift, int32_t q_max, bool nearest, int32_t *q,
-             int64_t ldq, int32_t *clipped)
-{
-    scalar::quantizeCols(v, ldv, rows, cols, shift, q_max, nearest, q, ldq,
-                         clipped);
-}
-
-} // namespace neon
-
-#endif // MIRAGE_SIMD_NEON
 
 // ---------------------------------------------------------------------------
 // Dispatch
@@ -1645,8 +1007,6 @@ vectorEnabled()
         }
 #if defined(MIRAGE_SIMD_AVX2)
         return static_cast<bool>(__builtin_cpu_supports("avx2"));
-#elif defined(MIRAGE_SIMD_NEON)
-        return true;
 #else
         return false;
 #endif
@@ -1656,58 +1016,19 @@ vectorEnabled()
 
 } // namespace detail
 
-/** Name of the active backend: "avx2", "neon", or "scalar". */
+/** Name of the active backend: "avx2" or "scalar". */
 inline const char *
 backendName()
 {
-#if defined(MIRAGE_SIMD_AVX2)
-    if (detail::vectorEnabled())
-        return "avx2";
-#elif defined(MIRAGE_SIMD_NEON)
-    if (detail::vectorEnabled())
-        return "neon";
-#endif
-    return "scalar";
+    return detail::vectorEnabled() ? "avx2" : "scalar";
 }
 
-#if defined(MIRAGE_SIMD_AVX2)
 #define MIRAGE_SIMD_DISPATCH(fn, ...) \
     do { \
         if (detail::vectorEnabled()) \
             return avx2::fn(__VA_ARGS__); \
         return scalar::fn(__VA_ARGS__); \
     } while (false)
-#elif defined(MIRAGE_SIMD_NEON)
-#define MIRAGE_SIMD_DISPATCH(fn, ...) \
-    do { \
-        if (detail::vectorEnabled()) \
-            return neon::fn(__VA_ARGS__); \
-        return scalar::fn(__VA_ARGS__); \
-    } while (false)
-#else
-#define MIRAGE_SIMD_DISPATCH(fn, ...) \
-    do { \
-        return scalar::fn(__VA_ARGS__); \
-    } while (false)
-#endif
-
-inline int64_t
-dotI32I64(const int32_t *a, const int32_t *b, int n)
-{
-    MIRAGE_SIMD_DISPATCH(dotI32I64, a, b, n);
-}
-
-inline uint64_t
-dotU32U64(const uint32_t *a, const uint32_t *b, int n)
-{
-    MIRAGE_SIMD_DISPATCH(dotU32U64, a, b, n);
-}
-
-inline uint64_t
-dotU64Lo32(const uint64_t *a, const uint64_t *b, int n)
-{
-    MIRAGE_SIMD_DISPATCH(dotU64Lo32, a, b, n);
-}
 
 inline void
 axpyF32(float a, const float *b, float *r, int n)
@@ -1716,37 +1037,9 @@ axpyF32(float a, const float *b, float *r, int n)
 }
 
 inline void
-axpy4F32(float a0, float a1, float a2, float a3, const float *b, float *r0,
-         float *r1, float *r2, float *r3, int n)
-{
-    MIRAGE_SIMD_DISPATCH(axpy4F32, a0, a1, a2, a3, b, r0, r1, r2, r3, n);
-}
-
-inline void
 axpyI32I64(int32_t a, const int32_t *b, int64_t *r, int n)
 {
     MIRAGE_SIMD_DISPATCH(axpyI32I64, a, b, r, n);
-}
-
-inline void
-axpy4I32I64(int32_t a0, int32_t a1, int32_t a2, int32_t a3, const int32_t *b,
-            int64_t *r0, int64_t *r1, int64_t *r2, int64_t *r3, int n)
-{
-    MIRAGE_SIMD_DISPATCH(axpy4I32I64, a0, a1, a2, a3, b, r0, r1, r2, r3, n);
-}
-
-inline void
-axpyU64Lo32(uint64_t a, const uint64_t *b, uint64_t *r, int n)
-{
-    MIRAGE_SIMD_DISPATCH(axpyU64Lo32, a, b, r, n);
-}
-
-inline void
-axpy4U64Lo32(uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3,
-             const uint64_t *b, uint64_t *r0, uint64_t *r1, uint64_t *r2,
-             uint64_t *r3, int n)
-{
-    MIRAGE_SIMD_DISPATCH(axpy4U64Lo32, a0, a1, a2, a3, b, r0, r1, r2, r3, n);
 }
 
 inline void
@@ -1767,13 +1060,6 @@ inline void
 chunkTile4(const ChunkTile &t)
 {
     MIRAGE_SIMD_DISPATCH(chunkTile4, t);
-}
-
-inline void
-gemmPanel4U64Lo32(const uint64_t *a, int64_t lda, const uint64_t *b,
-                  int64_t ldb, int kd, uint64_t *acc, int jt)
-{
-    MIRAGE_SIMD_DISPATCH(gemmPanel4U64Lo32, a, lda, b, ldb, kd, acc, jt);
 }
 
 inline void

@@ -341,13 +341,6 @@ recordRnsMargin(uint64_t modulus, int64_t accum_len)
 }
 
 void
-noteRnsReducedFallback()
-{
-    static Counter &fallbacks = fidCounter("fidelity.rns.reduced_fallbacks");
-    fallbacks.add(1);
-}
-
-void
 noteBfpGroup(int shared_exponent, int clipped_mantissas)
 {
     noteBfpGroups(shared_exponent, 1,
@@ -663,8 +656,7 @@ writeSummary(std::ostream &os)
     else
         os << margin_min;
     os << " overflow_risk=" << counterValue("fidelity.rns.overflow_risk")
-       << " reduced_fallbacks="
-       << counterValue("fidelity.rns.reduced_fallbacks") << "\n";
+       << "\n";
 
     os << "bfp: groups=" << counterValue("fidelity.bfp.groups")
        << " clipped_mantissas="
@@ -728,9 +720,7 @@ writeReport(std::ostream &os)
        << ", \"overflow_margin_min\": "
        << ((margin_min == INT64_MAX) ? 64 : margin_min)
        << ", \"overflow_risk\": "
-       << counterValue("fidelity.rns.overflow_risk")
-       << ", \"reduced_fallbacks\": "
-       << counterValue("fidelity.rns.reduced_fallbacks") << "},\n";
+       << counterValue("fidelity.rns.overflow_risk") << "},\n";
 
     os << "  \"bfp\": {\"groups\": " << counterValue("fidelity.bfp.groups")
        << ", \"clipped_mantissas\": "

@@ -22,10 +22,9 @@
  *    probes enabled.
  *
  *  - **Always-on health counters** (gated only by obs::enabled(), same
- *    contract as every other metric): RNS overflow-margin accounting in
- *    the raw-accumulation fast paths (`fidelity.rns.*`, promoting the
- *    debug-only modularDot overflow DASSERT into a counted observation),
- *    BFP exponent-distribution histograms and mantissa-clip counters
+ *    contract as every other metric): RNS overflow-margin accounting for
+ *    the per-modulus chunk dots of bfpGemm (`fidelity.rns.*`), BFP
+ *    exponent-distribution histograms and mantissa-clip counters
  *    (`fidelity.bfp.*`), and per-unit photonic SNR estimates
  *    (`fidelity.photonic.*`).
  *
@@ -149,11 +148,6 @@ void recordProbe(const char *site, std::span<const float> actual,
  * `fidelity.rns.overflow_risk`. Returns the margin (for tests).
  */
 int recordRnsMargin(uint64_t modulus, int64_t accum_len);
-
-/** Always-on counted fallback note: a GEMM whose accumulation could not
- *  use the raw 64-bit fast path and took the fully-reduced route instead
- *  (`fidelity.rns.reduced_fallbacks`). */
-void noteRnsReducedFallback();
 
 /** Always-on BFP group-encode note: bumps `fidelity.bfp.groups`, records
  *  the shared exponent into the `fidelity.bfp.exponent_bias128` histogram

@@ -27,7 +27,6 @@
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rns/modular_gemm.h"
 #include "runtime/thread_pool.h"
 #include "test_support.h"
 #include "train/trainer.h"
@@ -324,27 +323,6 @@ TEST_F(AllocGuardTest, WarmFormatBackendSpanGemmIsAllocationFree)
                      m, k, n, false, false, std::span<float>(c));
         EXPECT_EQ(probe.count(), 0) << numerics::toString(fmt);
     }
-}
-
-TEST_F(AllocGuardTest, WarmModularGemmSpanIsAllocationFree)
-{
-    Rng rng(13);
-    const int n = 48;
-    std::vector<rns::Residue> a(static_cast<size_t>(n) * n),
-        b(static_cast<size_t>(n) * n), c(static_cast<size_t>(n) * n);
-    for (auto &v : a)
-        v = static_cast<rns::Residue>(rng.uniformInt(0, 30));
-    for (auto &v : b)
-        v = static_cast<rns::Residue>(rng.uniformInt(0, 30));
-
-    rns::modularGemm(std::span<const rns::Residue>(a),
-                     std::span<const rns::Residue>(b),
-                     std::span<rns::Residue>(c), n, n, n, 31); // warm-up
-    AllocProbe probe;
-    rns::modularGemm(std::span<const rns::Residue>(a),
-                     std::span<const rns::Residue>(b),
-                     std::span<rns::Residue>(c), n, n, n, 31);
-    EXPECT_EQ(probe.count(), 0);
 }
 
 TEST_F(AllocGuardTest, WarmRnsMmvmuMvmSpanIsAllocationFree)

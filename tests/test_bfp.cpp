@@ -395,39 +395,49 @@ TEST_F(BfpSeeded, RnsTransparencyAcrossConfigs)
     // m % 4 != 0 (row tail), n off multiples of 8 and 64 (column tails and
     // a second column tile), k off multiples of g (zero-padded chunk).
     const Shape shapes[] = {{1, 5, 1}, {7, 35, 13}, {9, 67, 70}, {4, 48, 64}};
-    for (const int bm : {3, 4, 6}) {
-        for (const Rounding rounding :
-             {Rounding::Truncate, Rounding::Nearest, Rounding::Stochastic}) {
+    // Every (k, g, bm) that Eq. (13) admits, its edge pairs included: k = 5
+    // holds g = 32 at bm = 4 and k = 6 holds g = 64 at bm = 5, each with
+    // under 2x headroom.
+    for (const int bm : {3, 4, 5, 6}) {
+        for (const int g : {4, 16, 32, 64}) {
             for (const int k_set : {4, 5, 6}) {
                 const rns::ModuliSet set = rns::ModuliSet::special(k_set);
-                const BfpConfig cfg{bm, 16, rounding};
-                if (!set.canHoldDotProduct(cfg.bm, cfg.g))
+                if (!set.canHoldDotProduct(bm, g))
                     continue;
-                for (const Shape &sh : shapes) {
-                    auto a =
-                        mirage::test::gaussianVector(rng, sh.m * sh.k, 0, 4);
-                    const auto b =
-                        mirage::test::gaussianVector(rng, sh.k * sh.n, 0, 0.5);
-                    if (sh.m > 2) // an all-zero row
-                        std::fill(a.begin() + sh.k, a.begin() + 2 * sh.k, 0.0f);
-                    const std::string what =
-                        "bm=" + std::to_string(bm) + " " + toString(rounding) +
-                        " k=" + std::to_string(k_set) + " m=" +
-                        std::to_string(sh.m) + " n=" + std::to_string(sh.n);
+                for (const Rounding rounding : {Rounding::Truncate,
+                                                Rounding::Nearest,
+                                                Rounding::Stochastic}) {
+                    const BfpConfig cfg{bm, g, rounding};
+                    for (const Shape &sh : shapes) {
+                        auto a = mirage::test::gaussianVector(
+                            rng, sh.m * sh.k, 0, 4);
+                        const auto b = mirage::test::gaussianVector(
+                            rng, sh.k * sh.n, 0, 0.5);
+                        if (sh.m > 2) // an all-zero row
+                            std::fill(a.begin() + sh.k, a.begin() + 2 * sh.k,
+                                      0.0f);
+                        const std::string what =
+                            "bm=" + std::to_string(bm) + " g=" +
+                            std::to_string(g) + " k=" + std::to_string(k_set) +
+                            " " + toString(rounding) + " m=" +
+                            std::to_string(sh.m) + " n=" + std::to_string(sh.n);
 
-                    BfpGemmOptions opts;
-                    opts.config = cfg;
-                    opts.moduli = set;
-                    Rng gemm_rng(rng.nextU64());
-                    Rng ref_rng = gemm_rng;
-                    opts.rng = &gemm_rng;
-                    const auto got = bfpGemm(a, b, sh.m, sh.k, sh.n, opts);
-                    expectBitIdentical(got,
-                                       rnsReferenceGemm(a, b, sh.m, sh.k, sh.n,
-                                                        cfg, set, &ref_rng),
-                                       what);
-                    // Both consumed the caller's rng identically.
-                    EXPECT_EQ(gemm_rng.nextU64(), ref_rng.nextU64()) << what;
+                        BfpGemmOptions opts;
+                        opts.config = cfg;
+                        opts.moduli = set;
+                        Rng gemm_rng(rng.nextU64());
+                        Rng ref_rng = gemm_rng;
+                        opts.rng = &gemm_rng;
+                        const auto got = bfpGemm(a, b, sh.m, sh.k, sh.n, opts);
+                        expectBitIdentical(
+                            got,
+                            rnsReferenceGemm(a, b, sh.m, sh.k, sh.n, cfg, set,
+                                             &ref_rng),
+                            what);
+                        // Both consumed the caller's rng identically.
+                        EXPECT_EQ(gemm_rng.nextU64(), ref_rng.nextU64())
+                            << what;
+                    }
                 }
             }
         }

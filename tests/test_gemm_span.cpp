@@ -2,8 +2,8 @@
  * @file
  * Bit-equality tests for the span (allocation-free) GEMM APIs against the
  * legacy vector APIs, across every backend: format emulation (all data
- * formats, BFP/RNS included), modular GEMM, the RNS GEMM engine, the
- * photonic MMVMU pipeline, and the PhotonicBackend. The span overloads are
+ * formats, BFP/RNS included), the photonic MMVMU pipeline, and the
+ * PhotonicBackend. The span overloads are
  * the hot path; these tests pin the refactor to "same bits, fewer
  * allocations".
  */
@@ -12,7 +12,6 @@
 
 #include "nn/gemm_backend.h"
 #include "photonic/mmvmu.h"
-#include "rns/modular_gemm.h"
 #include "test_support.h"
 
 namespace mirage {
@@ -78,54 +77,6 @@ TEST_F(GemmSpanTest, FormatBackendGradFlagsCarryThroughSpanApi)
     backend.gemm(std::span<const float>(a), std::span<const float>(b), 1, 1,
                  1, true, false, std::span<float>(out));
     EXPECT_FLOAT_EQ(out[0], 1024.0f);
-}
-
-TEST_F(GemmSpanTest, ModularGemmSpanMatchesVector)
-{
-    const int m = 11, k = 23, n = 9;
-    std::vector<rns::Residue> a(static_cast<size_t>(m) * k),
-        b(static_cast<size_t>(k) * n);
-    for (auto &v : a)
-        v = static_cast<rns::Residue>(rng.uniformInt(0, 30));
-    for (auto &v : b)
-        v = static_cast<rns::Residue>(rng.uniformInt(0, 30));
-
-    std::vector<rns::Residue> c_vec;
-    rns::modularGemm(a, b, c_vec, m, k, n, 31);
-
-    std::vector<rns::Residue> c_span(static_cast<size_t>(m) * n, 999);
-    rns::modularGemm(std::span<const rns::Residue>(a),
-                     std::span<const rns::Residue>(b),
-                     std::span<rns::Residue>(c_span), m, k, n, 31);
-    EXPECT_EQ(c_vec, c_span);
-
-    // And both must agree with the reference dot products.
-    for (int i = 0; i < m; ++i)
-        for (int j = 0; j < n; ++j) {
-            uint64_t expect = 0;
-            for (int kk = 0; kk < k; ++kk)
-                expect += a[static_cast<size_t>(i) * k + kk] *
-                          b[static_cast<size_t>(kk) * n + j];
-            EXPECT_EQ(c_vec[static_cast<size_t>(i) * n + j], expect % 31);
-        }
-}
-
-TEST_F(GemmSpanTest, RnsGemmEngineSpanMatchesVector)
-{
-    const rns::RnsGemmEngine engine(test::paperModuli());
-    const int m = 4, k = 16, n = 3;
-    std::vector<int64_t> a(static_cast<size_t>(m) * k),
-        b(static_cast<size_t>(k) * n);
-    for (auto &v : a)
-        v = rng.uniformInt(-15, 15);
-    for (auto &v : b)
-        v = rng.uniformInt(-15, 15);
-
-    const std::vector<int64_t> c_vec = engine.gemm(a, b, m, k, n);
-    std::vector<int64_t> c_span(static_cast<size_t>(m) * n);
-    engine.gemm(std::span<const int64_t>(a), std::span<const int64_t>(b),
-                std::span<int64_t>(c_span), m, k, n);
-    EXPECT_EQ(c_vec, c_span);
 }
 
 TEST_F(GemmSpanTest, RnsMmvmuSpanMvmMatchesVector)

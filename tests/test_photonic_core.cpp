@@ -16,7 +16,6 @@
 #include "photonic/mdpu.h"
 #include "photonic/mmu.h"
 #include "photonic/mmvmu.h"
-#include "rns/modular_gemm.h"
 #include "test_support.h"
 
 namespace mirage {
@@ -116,8 +115,9 @@ TEST_F(PhotonicSeeded, MdpuMatchesIntegerModularDot)
                 v = static_cast<rns::Residue>(rng.uniformInt(0, m - 1));
             mdpu.programWeights(w);
             // Phase-domain result equals the integer modular dot product.
-            const rns::Residue golden =
-                rns::modularDot(x.data(), w.data(), 16, m);
+            rns::Residue golden = 0;
+            for (int i = 0; i < 16; ++i)
+                golden = (golden + x[i] * w[i]) % m;
             EXPECT_EQ(mdpu.compute(x, nullptr, 1.0, 0.0, nullptr), golden);
             EXPECT_EQ(mdpu.dotIdeal(x), golden);
         }
@@ -171,7 +171,7 @@ TEST_F(PhotonicSeeded, RnsMmvmuSignedMvmRoundTrip)
     }
 }
 
-TEST_F(PhotonicSeeded, PhotonicGemmMatchesRnsEngineAndExactInt)
+TEST_F(PhotonicSeeded, PhotonicGemmMatchesExactInt)
 {
     const rns::ModuliSet set = mirage::test::paperModuli();
     const DeviceKit kit;
@@ -183,12 +183,12 @@ TEST_F(PhotonicSeeded, PhotonicGemmMatchesRnsEngineAndExactInt)
         mirage::test::randomIntVector(rng, static_cast<size_t>(k) * n, -15, 15);
 
     const auto c_photonic = photonicGemm(array, a, b, m, k, n);
-    const rns::RnsGemmEngine engine(set);
-    const auto c_rns = engine.gemm(a, b, m, k, n);
     const auto c_exact = mirage::test::referenceGemm(a, b, m, k, n);
-    ASSERT_EQ(c_photonic.size(), c_rns.size());
+    ASSERT_EQ(c_photonic.size(), c_exact.size());
     for (size_t i = 0; i < c_photonic.size(); ++i) {
-        EXPECT_EQ(c_photonic[i], c_rns[i]) << i;
+        // Inside [-psi, psi] the RNS round trip is exact (Eq. (13)), so the
+        // exact integer GEMM is the photonic pipeline's golden model.
+        ASSERT_TRUE(set.inSignedRange(c_exact[i])) << i;
         EXPECT_EQ(c_photonic[i], c_exact[i]) << i;
     }
 }

@@ -1,18 +1,15 @@
 /**
  * @file
  * Unit and property tests for the RNS core: modular primitives, moduli set
- * validation, Eq. (13) capacity checks, CRT/mixed-radix conversion round
- * trips, and the modular GEMM golden model.
+ * validation, Eq. (13) capacity checks, and CRT/mixed-radix conversion
+ * round trips.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/math_util.h"
 #include "common/rng.h"
-#include "obs/fidelity.h"
-#include "obs/metrics.h"
 #include "rns/conversion.h"
-#include "rns/modular_gemm.h"
 #include "rns/moduli_set.h"
 #include "rns/modulus.h"
 #include "test_support.h"
@@ -170,145 +167,6 @@ TEST(RnsCodec, UnsignedDecode)
                   x);
     }
 }
-
-TEST_F(RnsSeeded, ModularGemmMatchesExactIntegerGemm)
-{
-    const ModuliSet set = mirage::test::paperModuli();
-    const RnsGemmEngine engine(set);
-    const int m = 5, k = 16, n = 7;
-    // BFP mantissa range for bm=4: [-15, 15]; Eq. (13) guarantees fit.
-    const auto a =
-        mirage::test::randomIntVector(rng, static_cast<size_t>(m) * k, -15, 15);
-    const auto b =
-        mirage::test::randomIntVector(rng, static_cast<size_t>(k) * n, -15, 15);
-
-    const auto c = engine.gemm(a, b, m, k, n); // internally cross-checked
-    EXPECT_EQ(c, mirage::test::referenceGemm(a, b, m, k, n));
-}
-
-TEST(ModularGemmDeath, DetectsRangeOverflow)
-{
-    // g = 256 with bm = 4 needs log2(M) >= 2*5 + 8 - 1 = 17 > 14.99 for k=5;
-    // adversarial all-max inputs overflow and the engine must flag it.
-    const ModuliSet set = ModuliSet::special(5);
-    const RnsGemmEngine engine(set);
-    const int m = 1, k = 256, n = 1;
-    std::vector<int64_t> a(k, 15), b(k, 15);
-    EXPECT_EXIT(engine.gemm(a, b, m, k, n), testing::ExitedWithCode(1),
-                "dynamic range exceeded");
-}
-
-TEST_F(RnsSeeded, ModularDotSmallAndLargeModulusPathsAgree)
-{
-    const int len = 64;
-    std::vector<Residue> a(len), b(len);
-    const uint64_t small_m = 33;
-    const uint64_t large_m = (uint64_t{1} << 31) - 1; // forces mulMod path
-    for (int i = 0; i < len; ++i) {
-        a[i] = rng.uniformInt(0, 32);
-        b[i] = rng.uniformInt(0, 32);
-    }
-    // Compute with both moduli; cross-check small path against naive.
-    uint64_t naive_small = 0;
-    for (int i = 0; i < len; ++i)
-        naive_small = (naive_small + a[i] * b[i]) % small_m;
-    EXPECT_EQ(modularDot(a.data(), b.data(), len, small_m), naive_small);
-
-    uint64_t naive_large = 0;
-    for (int i = 0; i < len; ++i)
-        naive_large = (naive_large + a[i] * b[i]) % large_m;
-    EXPECT_EQ(modularDot(a.data(), b.data(), len, large_m), naive_large);
-}
-
-TEST(ModularDot, OverflowEdgeAtSmallPathBounds)
-{
-    // The raw-accumulation fast path is gated on modulus < 2^21 and
-    // len < 2^22; at the extreme admissible corner (maximal residues of the
-    // largest small-path modulus, longest dot) the 64-bit accumulator is
-    // within a factor ~2 of wrapping. Exercise exactly that corner with a
-    // length big enough that a wrong bound would produce a detectably
-    // wrong remainder, and cross-check against the always-safe mulMod path
-    // via a modulus just past the gate.
-    const uint64_t m_small = (uint64_t{1} << 21) - 1; // largest fast-path m
-    const uint64_t m_large = uint64_t{1} << 21;       // forces safe path
-    const int len = 1 << 14;
-    const Residue max_r = m_small - 1;
-    std::vector<Residue> a(static_cast<size_t>(len), max_r);
-    std::vector<Residue> b(static_cast<size_t>(len), max_r);
-
-    // len * (m-1)^2 for the fast path: must fit in 64 bits (the bound the
-    // debug assert proves per call).
-    const uint64_t prod = max_r * max_r;
-    ASSERT_LE(static_cast<uint64_t>(len), UINT64_MAX / prod);
-
-    // Closed form: len * (m-1)^2 mod m, with (m-1)^2 ≡ 1 (mod m).
-    obs::fidelity::resetForTest();
-    EXPECT_EQ(modularDot(a.data(), b.data(), len, m_small),
-              static_cast<uint64_t>(len) % m_small);
-
-    // The always-on margin accounting (the promoted debug assert) must
-    // have observed exactly this corner: worst = (2^21-2)^2 * 2^14 uses
-    // 56 of 64 accumulator bits, leaving 8 bits of headroom.
-    const obs::Gauge *margin = obs::MetricsRegistry::global().findGauge(
-        "fidelity.rns.overflow_margin_min");
-    ASSERT_NE(margin, nullptr);
-    EXPECT_EQ(margin->value(), 8);
-    const obs::Counter *checks = obs::MetricsRegistry::global().findCounter(
-        "fidelity.rns.dot_checks");
-    ASSERT_NE(checks, nullptr);
-    EXPECT_GE(checks->value(), 1u);
-    const obs::Counter *risk = obs::MetricsRegistry::global().findCounter(
-        "fidelity.rns.overflow_risk");
-    ASSERT_NE(risk, nullptr);
-    EXPECT_EQ(risk->value(), 0u);
-
-    // Safe-path modulus with residues m_small - 1: same closed form via
-    // ((m_large - 2)^2 mod m_large) = 4 per term.
-    EXPECT_EQ(modularDot(a.data(), b.data(), len, m_large),
-              (4 * static_cast<uint64_t>(len)) % m_large);
-}
-
-/** Property sweep: GEMM over several special sets and shapes. */
-class RnsGemmSweep : public testing::TestWithParam<std::tuple<int, int>>
-{
-};
-
-TEST_P(RnsGemmSweep, ResidueGemmMatchesInt64)
-{
-    const auto [k_param, g] = GetParam();
-    const ModuliSet set = ModuliSet::special(k_param);
-    const int bm = (k_param == 4) ? 3 : (k_param == 5 ? 4 : 5);
-    ASSERT_TRUE(set.canHoldDotProduct(bm, g));
-
-    Rng rng(100 + k_param * 10 + g);
-    const RnsGemmEngine engine(set);
-    const int m = 4, n = 3;
-    const int64_t q_max = (1 << bm) - 1;
-    const auto a = mirage::test::randomIntVector(
-        rng, static_cast<size_t>(m) * g, -q_max, q_max);
-    const auto b = mirage::test::randomIntVector(
-        rng, static_cast<size_t>(g) * n, -q_max, q_max);
-    // The engine also cross-checks internally; compare the whole result
-    // against the golden int64 GEMM.
-    const auto c = engine.gemm(a, b, m, g, n);
-    EXPECT_EQ(c, mirage::test::referenceGemm(a, b, m, g, n));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ShapesAndSets, RnsGemmSweep,
-    // (k, g) pairs respecting Eq. (13) for bm(k) = {3, 4, 5}: k = 4 only
-    // reaches g = 16 with bm = 3 (log2 M = 11.99 < 12 needed at g = 32).
-    testing::Values(std::tuple<int, int>{4, 4}, std::tuple<int, int>{4, 16},
-                    std::tuple<int, int>{5, 4}, std::tuple<int, int>{5, 16},
-                    std::tuple<int, int>{5, 32}, std::tuple<int, int>{6, 16},
-                    std::tuple<int, int>{6, 32}, std::tuple<int, int>{6, 64}),
-    [](const testing::TestParamInfo<std::tuple<int, int>> &info) {
-        std::string name = "k";
-        name += std::to_string(std::get<0>(info.param));
-        name += "_g";
-        name += std::to_string(std::get<1>(info.param));
-        return name;
-    });
 
 } // namespace
 } // namespace rns

@@ -20,7 +20,6 @@
 #include "nn/model.h"
 #include "nn/optimizer.h"
 #include "photonic/mmvmu.h"
-#include "rns/modular_gemm.h"
 #include "runtime/thread_pool.h"
 #include "test_support.h"
 
@@ -82,24 +81,6 @@ TEST_F(RuntimeDeterminism, StochasticRoundingGemmIsThreadCountInvariant)
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], parallel[i]) << "element " << i;
-}
-
-TEST_F(RuntimeDeterminism, ModularGemmIsThreadCountInvariant)
-{
-    const int m = 64, k = 40, n = 32; // above the serialBelow cutoff
-    const auto a = mirage::test::randomIntVector(
-        rng, static_cast<size_t>(m) * k, 0, 30);
-    const auto b = mirage::test::randomIntVector(
-        rng, static_cast<size_t>(k) * n, 0, 30);
-    std::vector<rns::Residue> ra(a.begin(), a.end());
-    std::vector<rns::Residue> rb(b.begin(), b.end());
-
-    auto [serial, parallel] = atThreadCounts([&] {
-        std::vector<rns::Residue> c;
-        rns::modularGemm(ra, rb, c, m, k, n, 31);
-        return c;
-    });
-    EXPECT_EQ(serial, parallel);
 }
 
 TEST_F(RuntimeDeterminism, NoisyPhotonicMvmIsThreadCountInvariant)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Bit-equality tests for the simd dispatch layer (common/simd.h): every
- * vectorized dot / axpy / panel kernel must return results byte-identical
+ * vectorized axpy / panel kernel must return results byte-identical
  * to its scalar reference — integer ops because they are exact, FP32 ops
  * because the vector bodies perform the same multiply-then-add roundings
  * in the same per-element order (no FMA contraction). This is the
@@ -13,7 +13,7 @@
  * float rounding could go wrong (ties, near-ties, underflowing products,
  * extreme shared exponents).
  *
- * On hosts without AVX2/NEON the wrappers dispatch to the scalar reference
+ * On hosts without AVX2 the wrappers dispatch to the scalar reference
  * and these tests pass trivially; on vector hardware they pin the real
  * vector bodies (including ragged tails and the per-row zero-skip).
  */
@@ -61,19 +61,6 @@ class SimdTest : public mirage::test::SeededTest
                 lo + static_cast<int64_t>(rng.uniformReal() * (hi - lo + 1)));
         return v;
     }
-
-    /** uint64 values that fit in 32 bits (RNS residues). */
-    std::vector<uint64_t>
-    residues(size_t n, uint64_t modulus)
-    {
-        std::vector<uint64_t> v(n);
-        for (auto &x : v) {
-            x = static_cast<uint64_t>(rng.uniformReal() * modulus) % modulus;
-            if (rng.uniformReal() < 0.1)
-                x = 0;
-        }
-        return v;
-    }
 };
 
 /** Byte equality of two float vectors. An empty vector's data() may be
@@ -89,34 +76,7 @@ sameBytes(const std::vector<float> &a, const std::vector<float> &b)
 TEST_F(SimdTest, BackendNameIsKnown)
 {
     const std::string name = simd::backendName();
-    EXPECT_TRUE(name == "avx2" || name == "neon" || name == "scalar")
-        << name;
-}
-
-TEST_F(SimdTest, DotsMatchScalarReference)
-{
-    for (int n : {0, 1, 2, 3, 7, 8, 15, 16, 17, 31, 40, 67}) {
-        const auto ai = ints(static_cast<size_t>(n), -4000, 4000);
-        const auto bi = ints(static_cast<size_t>(n), -4000, 4000);
-        EXPECT_EQ(simd::dotI32I64(ai.data(), bi.data(), n),
-                  simd::scalar::dotI32I64(ai.data(), bi.data(), n))
-            << "n=" << n;
-
-        std::vector<uint32_t> au(static_cast<size_t>(n)), bu(au.size());
-        for (size_t i = 0; i < au.size(); ++i) {
-            au[i] = static_cast<uint32_t>(ai[i] + 4000);
-            bu[i] = static_cast<uint32_t>(bi[i] + 4000);
-        }
-        EXPECT_EQ(simd::dotU32U64(au.data(), bu.data(), n),
-                  simd::scalar::dotU32U64(au.data(), bu.data(), n))
-            << "n=" << n;
-
-        const auto ar = residues(static_cast<size_t>(n), (1u << 21) - 9);
-        const auto br = residues(static_cast<size_t>(n), (1u << 21) - 9);
-        EXPECT_EQ(simd::dotU64Lo32(ar.data(), br.data(), n),
-                  simd::scalar::dotU64Lo32(ar.data(), br.data(), n))
-            << "n=" << n;
-    }
+    EXPECT_TRUE(name == "avx2" || name == "scalar") << name;
 }
 
 TEST_F(SimdTest, AxpysMatchScalarReferenceBitExact)
@@ -131,27 +91,11 @@ TEST_F(SimdTest, AxpysMatchScalarReferenceBitExact)
             EXPECT_TRUE(sameBytes(r_vec, r_ref)) << "n=" << n << " a=" << a;
         }
 
-        auto r0 = floats(static_cast<size_t>(n)), r1 = r0, r2 = r0, r3 = r0;
-        auto s0 = r0, s1 = r1, s2 = r2, s3 = r3;
-        simd::axpy4F32(0.5f, -0.0f, 3.0f, 1e-30f, b.data(), r0.data(),
-                       r1.data(), r2.data(), r3.data(), n);
-        simd::scalar::axpy4F32(0.5f, -0.0f, 3.0f, 1e-30f, b.data(), s0.data(),
-                               s1.data(), s2.data(), s3.data(), n);
-        for (auto [v, s] : {std::pair{&r0, &s0}, {&r1, &s1}, {&r2, &s2},
-                            {&r3, &s3}})
-            EXPECT_TRUE(sameBytes(*v, *s)) << "n=" << n;
-
         const auto bi = ints(static_cast<size_t>(n), -100000, 100000);
         std::vector<int64_t> iv(static_cast<size_t>(n), 7), ir = iv;
         simd::axpyI32I64(-12345, bi.data(), iv.data(), n);
         simd::scalar::axpyI32I64(-12345, bi.data(), ir.data(), n);
         EXPECT_EQ(iv, ir) << "n=" << n;
-
-        const auto br = residues(static_cast<size_t>(n), 0xFFFFFFF1u);
-        std::vector<uint64_t> uv(static_cast<size_t>(n), 3), ur = uv;
-        simd::axpyU64Lo32(0x12345678u, br.data(), uv.data(), n);
-        simd::scalar::axpyU64Lo32(0x12345678u, br.data(), ur.data(), n);
-        EXPECT_EQ(uv, ur) << "n=" << n;
     }
 }
 
@@ -178,7 +122,7 @@ TEST_F(SimdTest, Fp32PanelKernelMatchesScalarReferenceBitExact)
     }
 }
 
-TEST_F(SimdTest, IntegerPanelKernelsMatchScalarReference)
+TEST_F(SimdTest, IntegerPanelKernelMatchesScalarReference)
 {
     for (int kd : {0, 1, 5, 33}) {
         for (int jt : {1, 4, 8, 13, 16, 24, 40}) {
@@ -196,18 +140,6 @@ TEST_F(SimdTest, IntegerPanelKernelsMatchScalarReference)
             simd::scalar::gemmPanel4I32I64(ai.data(), lda, bi.data(), ldb, kd,
                                            acc_ref.data(), jt);
             EXPECT_EQ(acc_vec, acc_ref) << "kd=" << kd << " jt=" << jt;
-
-            const auto au =
-                residues(static_cast<size_t>(4) * lda, (1u << 21) - 9);
-            const auto bu = residues(
-                static_cast<size_t>(std::max(kd, 1)) * ldb, (1u << 21) - 9);
-            std::vector<uint64_t> uacc_vec(static_cast<size_t>(4) * jt, 5);
-            auto uacc_ref = uacc_vec;
-            simd::gemmPanel4U64Lo32(au.data(), lda, bu.data(), ldb, kd,
-                                    uacc_vec.data(), jt);
-            simd::scalar::gemmPanel4U64Lo32(au.data(), lda, bu.data(), ldb,
-                                            kd, uacc_ref.data(), jt);
-            EXPECT_EQ(uacc_vec, uacc_ref) << "kd=" << kd << " jt=" << jt;
         }
     }
 }
